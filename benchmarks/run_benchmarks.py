@@ -11,8 +11,9 @@ Seven sections, each a dict of timings/counters:
   loss.backward() at quick scale, plus the wall time of a full
   forward+backward+step;
 * ``epoch``    — one Trainer epoch on synthetic quick-scale data;
-* ``stages``   — per-stage breakdown of one rigorous solve (lateral DCT
-  diffusion vs z matrix-exponential vs reaction step) recorded through
+* ``stages``   — per-stage breakdown of one rigorous solve (lateral
+  diffusion by dense per-axis DCT operators vs z matrix-exponential vs
+  reaction step) recorded through
   the ``repro.obs`` trace layer, plus the tracing overhead ratio and the
   cost of a disabled (no-op) span;
 * ``serving``  — p50/p95/p99 request latency, throughput and overload

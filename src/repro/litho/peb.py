@@ -12,7 +12,8 @@ surface, and zero-flux at the resist/substrate interface.
 
 The integrator uses operator splitting where every sub-step is *exact*:
 
-* lateral diffusion  — DCT spectral propagator (:mod:`repro.litho.dct`);
+* lateral diffusion  — DCT spectral propagator, applied as one dense
+  matrix per axis (:mod:`repro.litho.dct`);
 * normal diffusion + Robin loss — matrix exponential of the small
   (nz × nz) z-operator, including the affine saturation source term;
 * reactions — closed-form solutions of the catalysis ODE (frozen acid)
@@ -86,7 +87,9 @@ class _ZPropagator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Advance a (nz, ny, nx) field one step along z."""
-        return np.einsum("ij,jyx->iyx", self.step_matrix, u) + self.affine[:, None, None]
+        out = (self.step_matrix @ u.reshape(u.shape[0], -1)).reshape(u.shape)
+        out += self.affine[:, None, None]
+        return out
 
 
 def catalysis_step(inhibitor: np.ndarray, acid: np.ndarray, rate: float, dt: float) -> np.ndarray:
@@ -98,20 +101,31 @@ def neutralization_step(acid: np.ndarray, base: np.ndarray, rate: float, dt: flo
     """Exact acid-base neutralization update (reaction part of Eqs. 2-3).
 
     The difference d = [A] - [B] is conserved; the ODE dA/dt = -k A(A-d)
-    has the closed form  A(t) = d / (1 - (B0/A0) exp(-k d t)).
+    has the closed form  A(t) = d / (1 - (B0/A0) exp(-k d t)),  with the
+    limit A0 / (1 + k A0 t) where |d| < 1e-10 and A(t) = 0 where A0 is
+    (numerically) zero.  Evaluated in place on three buffers; the two
+    special cases are only computed when some element needs them.
     """
     diff = acid - base
-    small = np.abs(diff) < 1e-10
-    degenerate = acid < 1e-300
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(degenerate, 0.0, base / np.where(degenerate, 1.0, acid))
-        decay = np.exp(np.clip(-rate * diff * dt, -700.0, 700.0))
-        general = diff / (1.0 - ratio * decay)
-        limit = acid / (1.0 + rate * acid * dt)
-    acid_new = np.where(small, limit, general)
-    acid_new = np.where(degenerate, 0.0, acid_new)
-    acid_new = np.clip(acid_new, 0.0, None)
-    base_new = np.clip(acid_new - diff, 0.0, None)
+        decay = np.multiply(diff, -rate)
+        decay *= dt
+        np.clip(decay, -700.0, 700.0, out=decay)
+        np.exp(decay, out=decay)
+        acid_new = np.divide(base, acid)
+        acid_new *= decay
+        np.subtract(1.0, acid_new, out=acid_new)
+        np.divide(diff, acid_new, out=acid_new)
+        small = np.abs(diff, out=decay) < 1e-10
+        if small.any():
+            low = acid[small]
+            acid_new[small] = low / (1.0 + rate * low * dt)
+    degenerate = acid < 1e-300
+    if degenerate.any():
+        acid_new[degenerate] = 0.0
+    np.maximum(acid_new, 0.0, out=acid_new)
+    base_new = np.subtract(acid_new, diff, out=diff)
+    np.maximum(base_new, 0.0, out=base_new)
     return acid_new, base_new
 
 

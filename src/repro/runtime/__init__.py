@@ -5,11 +5,11 @@ reproduction runs on a given machine without changing any numerics:
 
 * :mod:`repro.runtime.pool` — a fork-based worker pool for
   embarrassingly parallel stages (rigorous dataset generation), with a
-  deterministic serial fallback;
+  deterministic serial fallback and single-threaded FFT/BLAS workers;
 * :mod:`repro.runtime.fft` — the thread count handed to ``scipy.fft``
-  (DCT diffusion propagator, S4D global convolution);
+  (S4D global convolution);
 * :mod:`repro.runtime.cache` — LRU caches for the PEB propagators,
-  whose construction is dominated by ``expm`` / eigenvalue setup and is
+  whose construction is dominated by ``expm`` / per-axis operator setup and is
   repeated verbatim across solver instances, benches and pool workers;
 * :mod:`repro.runtime.sync` — lock factories whose products turn into
   instrumented wrappers under ``REPRO_SANITIZE=1``, recording lock

@@ -1,9 +1,10 @@
 """LRU caches for the rigorous solver's propagator operators.
 
-Building a :class:`~repro.litho.dct.LateralDiffusionPropagator` costs an
-eigenvalue grid; building a ``_ZPropagator`` costs an ``expm`` and a
-linear solve.  Every :class:`~repro.litho.peb.RigorousPEBSolver` with
-the same (grid, physics, dt) builds the *same* operators, and benches,
+Building a :class:`~repro.litho.dct.LateralDiffusionPropagator` costs
+two dense per-axis operators ``C^T diag(exp(dt D lam)) C``; building a
+``_ZPropagator`` costs an ``expm`` and a linear solve.  Every
+:class:`~repro.litho.peb.RigorousPEBSolver` with the same (grid,
+physics, dt) builds the *same* operators, and benches,
 convergence sweeps and pool workers construct solvers in a loop — so
 the operators are memoized here on their full physical key.
 
@@ -13,8 +14,8 @@ hashable because :class:`~repro.config.GridConfig` is a frozen
 dataclass.
 
 Imports of the litho modules happen inside the builders to keep
-``repro.runtime`` import-light and cycle-free (litho itself imports
-:mod:`repro.runtime.fft`).
+``repro.runtime`` import-light and cycle-free (:mod:`repro.litho.peb`
+itself imports this module).
 """
 
 from __future__ import annotations

@@ -52,10 +52,50 @@ def fork_available() -> bool:
 
 def _limit_worker_threads() -> None:
     """Pool-worker initializer: each process runs its tasks single-
-    threaded so N workers never oversubscribe N cores with FFT threads."""
+    threaded so N workers never oversubscribe N cores with FFT or BLAS
+    threads."""
     from repro.runtime.fft import set_fft_workers
 
     set_fft_workers(1)
+    _limit_openblas_threads()
+
+
+#: OpenBLAS's thread-count setter under each build's symbol naming
+#: (plain, 64-bit integer, and the scipy-openblas wheels numpy/scipy bundle)
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
+
+
+def _limit_openblas_threads() -> None:
+    """Pin every OpenBLAS this process has loaded to one thread.
+
+    The rigorous solver's lateral step is a BLAS matmul, which OpenBLAS
+    threads once a product is large enough (a 128×128 slice is); in pool
+    workers those threads would multiply with the processes.  numpy has
+    no API for this, so the libraries are found through
+    ``/proc/self/maps`` and OpenBLAS's own setter is called; without
+    ``/proc`` or with another BLAS nothing changes.  Results do not
+    depend on the count: OpenBLAS splits a product's rows and columns
+    across threads, never its sums.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(library, name):
+                getattr(library, name)(1)
+                break
 
 
 class _TracedTask:

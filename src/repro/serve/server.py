@@ -241,11 +241,14 @@ class ServedModel:
 
 
 class _HTTPError(Exception):
-    def __init__(self, status: int, message: str, retry_after_s: int | None = None):
+    def __init__(self, status: int, message: str, retry_after_s: int | None = None,
+                 close: bool = False):
         super().__init__(message)
         self.status = status
         self.message = message
         self.retry_after_s = retry_after_s
+        #: the request stream cannot be resynced: answer, then hang up
+        self.close = close
 
 
 def escape_label_value(value: str) -> str:
@@ -369,10 +372,16 @@ class _Handler(BaseHTTPRequestHandler):
         headers = {}
         if error.retry_after_s is not None:
             headers["Retry-After"] = error.retry_after_s
+        if error.close:
+            headers["Connection"] = "close"  # send_header also ends keep-alive
         self._send_json(error.status, {"error": error.message}, headers)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError as error:
+            raise _HTTPError(400, "Content-Length must be an integer",
+                             close=True) from error
         if length <= 0:
             raise _HTTPError(400, "empty request body")
         if length > self.app.config.max_body_bytes:
@@ -592,7 +601,10 @@ def _parse_predict_payload(body: bytes, as_json: bool,
         if not isinstance(payload, dict) or "acid" not in payload:
             raise _HTTPError(400, 'JSON body must be an object with an "acid" array')
         if deadline_ms is None and "deadline_ms" in payload:
-            deadline_ms = float(payload["deadline_ms"])
+            try:
+                deadline_ms = float(payload["deadline_ms"])
+            except (TypeError, ValueError) as error:
+                raise _HTTPError(400, "deadline_ms must be a number") from error
         try:
             acid = np.asarray(payload["acid"], dtype=np.float64)
         except (TypeError, ValueError) as error:

@@ -22,6 +22,24 @@ def gaussian_acid(grid=GRID, amplitude=0.8, sigma_nm=120.0):
     return amplitude * profile[:, None, None] * blob[None, :, :]
 
 
+def reference_neutralization(acid, base, rate, dt):
+    """The straightforward closed form (one temporary per operation) that
+    ``neutralization_step`` evaluates in place, in the same order."""
+    diff = acid - base
+    small = np.abs(diff) < 1e-10
+    degenerate = acid < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(degenerate, 0.0, base / np.where(degenerate, 1.0, acid))
+        decay = np.exp(np.clip(-rate * diff * dt, -700.0, 700.0))
+        general = diff / (1.0 - ratio * decay)
+        limit = acid / (1.0 + rate * acid * dt)
+    acid_new = np.where(small, limit, general)
+    acid_new = np.where(degenerate, 0.0, acid_new)
+    acid_new = np.clip(acid_new, 0.0, None)
+    base_new = np.clip(acid_new - diff, 0.0, None)
+    return acid_new, base_new
+
+
 class TestLateralDiffusion:
     def test_dct_conserves_mass(self):
         field = gaussian_acid()
@@ -56,6 +74,15 @@ class TestLateralDiffusion:
         lam = dct.neumann_laplacian_eigenvalues(16, 2.0)
         assert lam[0] == 0.0
         assert np.all(lam[1:] < 0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 24, 256])
+    def test_dct_matrix_is_the_orthonormal_dct_ii(self, n):
+        from scipy import fft as spfft
+
+        basis = dct.dct_matrix(n)
+        vector = np.random.default_rng(n).random(n)
+        assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-13)
+        assert np.allclose(basis @ vector, spfft.dct(vector, type=2, norm="ortho"), atol=1e-13)
 
 
 class TestZPropagator:
@@ -134,6 +161,26 @@ class TestReactionSteps:
         new_acid, new_base = peb.neutralization_step(np.array([0.9]), np.array([0.4]), 8.7, 1000.0)
         assert np.isclose(new_acid[0], 0.5, atol=1e-6)
         assert np.isclose(new_base[0], 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dt", [0.125, 1.0, 1000.0])
+    def test_neutralization_bitwise_matches_reference_closed_form(self, dt):
+        rng = np.random.default_rng(7)
+        acid = rng.uniform(0.0, 1.0, size=(4, 16, 16))
+        base = rng.uniform(0.0, 1.0, size=acid.shape)
+        flat_acid, flat_base = acid.reshape(-1), base.reshape(-1)
+        kind = rng.integers(0, 5, size=flat_acid.size)
+        flat_acid[kind == 1] = 0.0                                # degenerate
+        flat_acid[kind == 2] = rng.uniform(0.0, 1e-301, size=(kind == 2).sum())
+        near = kind == 3                                          # |A - B| < 1e-10
+        flat_base[near] = flat_acid[near] + rng.uniform(-5e-11, 5e-11, size=near.sum())
+        flat_base[kind == 4] = flat_acid[kind == 4]               # exactly equal
+        assert {0, 1, 2, 3, 4} <= set(kind.tolist())
+        acid_in, base_in = acid.copy(), base.copy()
+        new_acid, new_base = peb.neutralization_step(acid, base, 8.6993, dt)
+        ref_acid, ref_base = reference_neutralization(acid, base, 8.6993, dt)
+        assert np.array_equal(new_acid, ref_acid)
+        assert np.array_equal(new_base, ref_base)
+        assert np.array_equal(acid, acid_in) and np.array_equal(base, base_in)  # pure
 
 
 class TestSolver:

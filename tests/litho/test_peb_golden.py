@@ -77,42 +77,50 @@ class TestPureLateralDiffusion:
                   normal_diffusion_length_base_nm=0.0,
                   lateral_diffusion_length_acid_nm=100.0)
 
-    def test_x_mode_decays_in_closed_form(self):
+    #: the non-square grid (nx != ny, dx != dy) catches swapped x/y operators
+    GRIDS = pytest.mark.parametrize("grid", [
+        GRID, GridConfig(size_um=1.0, nx=24, ny=16, nz=4),
+    ], ids=["square", "24x16"])
+
+    @GRIDS
+    def test_x_mode_decays_in_closed_form(self, grid):
         k = 3
-        mode = neumann_mode(GRID.nx, k)
-        acid0 = 0.5 + 0.3 * np.broadcast_to(mode, GRID.shape).copy()
-        solver = peb.RigorousPEBSolver(GRID, self.CFG, time_step_s=30.0)
+        mode = neumann_mode(grid.nx, k)
+        acid0 = 0.5 + 0.3 * np.broadcast_to(mode, grid.shape).copy()
+        solver = peb.RigorousPEBSolver(grid, self.CFG, time_step_s=30.0)
         result = solver.solve(acid0)
         duration = self.CFG.duration_s
-        decay = neumann_decay(GRID.nx, k, GRID.dx_nm,
+        decay = neumann_decay(grid.nx, k, grid.dx_nm,
                               self.CFG.diffusivity("acid", "lateral"), duration)
-        expected = 0.5 + 0.3 * decay * np.broadcast_to(mode, GRID.shape)
+        expected = 0.5 + 0.3 * decay * np.broadcast_to(mode, grid.shape)
         assert 0.3 < decay < 0.9  # the test actually exercises decay
         assert np.allclose(result.acid, expected, atol=1e-12)
 
-    def test_y_mode_decays_in_closed_form(self):
+    @GRIDS
+    def test_y_mode_decays_in_closed_form(self, grid):
         k = 2
-        mode = neumann_mode(GRID.ny, k)[None, :, None]
-        acid0 = (0.4 + 0.2 * mode) * np.ones(GRID.shape)
-        solver = peb.RigorousPEBSolver(GRID, self.CFG, splitting="strang",
+        mode = neumann_mode(grid.ny, k)[None, :, None]
+        acid0 = (0.4 + 0.2 * mode) * np.ones(grid.shape)
+        solver = peb.RigorousPEBSolver(grid, self.CFG, splitting="strang",
                                        time_step_s=45.0)
         result = solver.solve(acid0)
-        decay = neumann_decay(GRID.ny, k, GRID.dy_nm,
+        decay = neumann_decay(grid.ny, k, grid.dy_nm,
                               self.CFG.diffusivity("acid", "lateral"),
                               self.CFG.duration_s)
-        expected = (0.4 + 0.2 * decay * mode) * np.ones(GRID.shape)
+        expected = (0.4 + 0.2 * decay * mode) * np.ones(grid.shape)
         assert np.allclose(result.acid, expected, atol=1e-12)
 
-    def test_gaussian_matches_mode_synthesis(self):
+    @GRIDS
+    def test_gaussian_matches_mode_synthesis(self, grid):
         """A smooth blob == the sum of its modes, each decayed exactly."""
         from scipy import fft as spfft
 
-        acid0 = gaussian_acid()
-        solver = peb.RigorousPEBSolver(GRID, self.CFG, time_step_s=10.0)
+        acid0 = gaussian_acid(grid)
+        solver = peb.RigorousPEBSolver(grid, self.CFG, time_step_s=10.0)
         result = solver.solve(acid0)
         diffusivity = self.CFG.diffusivity("acid", "lateral")
-        lam_y = -4.0 * np.sin(np.pi * np.arange(GRID.ny) / (2.0 * GRID.ny)) ** 2 / GRID.dy_nm ** 2
-        lam_x = -4.0 * np.sin(np.pi * np.arange(GRID.nx) / (2.0 * GRID.nx)) ** 2 / GRID.dx_nm ** 2
+        lam_y = -4.0 * np.sin(np.pi * np.arange(grid.ny) / (2.0 * grid.ny)) ** 2 / grid.dy_nm ** 2
+        lam_x = -4.0 * np.sin(np.pi * np.arange(grid.nx) / (2.0 * grid.nx)) ** 2 / grid.dx_nm ** 2
         coeff = spfft.dctn(acid0, axes=(1, 2), type=2, norm="ortho")
         coeff *= np.exp(self.CFG.duration_s * diffusivity
                         * (lam_y[:, None] + lam_x[None, :]))[None, :, :]

@@ -17,6 +17,23 @@ def _double(x):
     return 2 * x
 
 
+def _openblas_thread_counts(_=None):
+    """Thread count of each OpenBLAS this process loaded (runs in workers)."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
+    counts = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(library, name):
+                counts.append(getattr(library, name)())
+                break
+    return counts
+
+
 class TestResolveWorkers:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
@@ -69,6 +86,16 @@ class TestParallelMap:
     def test_fork_unavailable_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
         assert parallel_map(_double, [1, 2, 3], workers=4) == [2, 4, 6]
+
+    def test_workers_run_openblas_single_threaded(self):
+        """BLAS threads must not multiply with the pool's processes."""
+        try:
+            if not _openblas_thread_counts():
+                pytest.skip("numpy's BLAS is not OpenBLAS")
+        except OSError:
+            pytest.skip("no /proc/self/maps to find the BLAS through")
+        per_worker = parallel_map(_openblas_thread_counts, [0, 1], workers=2)
+        assert all(counts and set(counts) == {1} for counts in per_worker), per_worker
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         class BrokenContext:

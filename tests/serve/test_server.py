@@ -122,6 +122,27 @@ class TestPredict:
                      headers={"Content-Type": "application/json"})
         assert conn.getresponse().status == 404
 
+    @pytest.mark.parametrize("deadline, headers, needle", [
+        ("soon", {}, "deadline_ms"),
+        ([1], {}, "deadline_ms"),
+        (None, {"Content-Length": "twelve"}, "Content-Length"),
+    ], ids=["deadline-string", "deadline-list", "content-length-not-int"])
+    def test_malformed_request_400_and_server_keeps_serving(self, server, conn,
+                                                           deadline, headers, needle):
+        payload = {"acid": np.zeros(GRID.shape).tolist()}
+        if deadline is not None:
+            payload["deadline_ms"] = deadline
+        conn.request("POST", "/v1/predict", body=json.dumps(payload),
+                     headers={"Content-Type": "application/json", **headers})
+        response = conn.getresponse()
+        assert response.status == 400
+        assert needle in json.loads(response.read())["error"]
+        fresh = HTTPConnection(*server[0].address, timeout=30)
+        try:
+            assert post_npz(fresh, np.random.default_rng(5).random(GRID.shape)).status == 200
+        finally:
+            fresh.close()
+
 
 class TestIntrospection:
     def test_healthz(self, conn):
