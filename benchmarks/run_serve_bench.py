@@ -249,7 +249,7 @@ def bench_worker_scaling(smoke: bool) -> dict:
             server = _bench_server(Path(tmp) / f"w{workers}", policy,
                                    workers=workers)
             try:
-                # warm-up covers fork, shm attach and lazy model init
+                # warm-up covers the workers' first forward and plan capture
                 _drive(server, 2, 2, repeat_fraction=0.0, seed=1)
                 run = _drive(server, num_clients, requests_per_client,
                              repeat_fraction=0.0, seed=5)

@@ -245,9 +245,9 @@ def cmd_serve(args) -> int:
             loaded = [load_checkpoint(weights)]
     except RegistryError as error:
         raise CLIError(str(error)) from error
-    # install the drain handlers before any pooled backend publishes
-    # shared-memory weights, so a SIGTERM that lands during startup still
-    # unlinks every segment on the way out
+    # install the drain handlers before any pooled backend forks its
+    # workers, so a SIGTERM that lands during startup still drains and
+    # reaps them on the way out
     stop = threading.Event()
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -540,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "per batch shape and replays it (default: "
                         "REPRO_INFER_PLAN env, else tape)")
     p.add_argument("--serve-workers", type=int, default=None, metavar="N",
-                   help="forked prediction worker processes sharing one "
-                        "shared-memory weight segment; requests shard by "
+                   help="forked prediction worker processes serving the "
+                        "parent's model read-only; requests shard by "
                         "content hash (default: REPRO_SERVE_WORKERS env, "
                         "else 1 = in-process)")
     p.add_argument("--verbose", action="store_true",

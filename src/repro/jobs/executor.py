@@ -3,13 +3,15 @@
 One daemon thread owns the scheduler loop: it claims the oldest queued
 job, then executes it **chunk by chunk** — each chunk is up to
 ``checkpoint_every`` stepper iterations run in a *disposable forked
-process*.  The child ships its new state back over a pipe; the parent
-persists it as the job's checkpoint before launching the next chunk.
+process*, one :class:`~repro.runtime.worker.ForkedWorker` per chunk.
+The child ships its new state back over the worker's pipe; the parent
+persists it as the job's checkpoint before forking the next chunk.
 
 That process-per-chunk shape is what buys fault tolerance:
 
-* a SIGKILLed step worker just closes the pipe — the parent observes
-  EOF, requeues the job, and the next attempt resumes from the last
+* a SIGKILLed step worker raises
+  :class:`~repro.runtime.worker.WorkerDied` in the parent, which
+  requeues the job, and the next attempt resumes from the last
   checkpoint (steppers are deterministic functions of their state, so
   the rerun is bitwise-identical to the uninterrupted path);
 * a full server restart finds the job ``running`` with nobody executing
@@ -18,38 +20,33 @@ That process-per-chunk shape is what buys fault tolerance:
 * cancellation and drain are chunk-boundary checks — no partial step is
   ever visible in a checkpoint.
 
-Fault-injection hooks mirror ``repro.serve.pool``: ``step_delay_s``
-makes the child sleep before each step, and the parent-side ``busy``
-flag plus ``child_pid`` let tests land a kill deterministically inside
-a chunk.
+Without ``fork`` the chunk runs inline in the executor thread: same
+chunk semantics, no kill immunity.  The kill window for tests is the
+primitive's: ``busy`` plus ``child_pid`` (the chunk worker's
+``busy``/``pid``) land a SIGKILL inside a chunk, and patching the
+stepper's ``step`` before the fork slows the child down.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.obs import (
     TraceContext, counter, record_lane_crash, span, use_context,
 )
-from repro.runtime.pool import fork_available
-from repro.runtime.sync import check_fork_safety, make_condition, make_lock
+from repro.runtime.sync import make_condition, make_lock
+from repro.runtime.worker import ForkedWorker, WorkerDied, fork_available
 
 from .store import JobRecord, JobStore
 from .types import build_stepper
 
-__all__ = ["JobExecutor", "JobExecutorConfig", "StepCrashedError"]
-
-
-class StepCrashedError(RuntimeError):
-    """The forked step process died before reporting a result."""
+__all__ = ["JobExecutor", "JobExecutorConfig"]
 
 
 @dataclass
 class JobExecutorConfig:
-    """Executor tuning + fault-injection knobs."""
+    """Executor tuning knobs."""
 
     poll_interval_s: float = 0.2
     #: stepper iterations per chunk (= checkpoint cadence)
@@ -57,22 +54,18 @@ class JobExecutorConfig:
     #: attempts (initial + retries after crashes) before a job fails
     max_attempts: int = 3
     chunk_timeout_s: float = 300.0
-    #: fault injection: child sleeps this long before every step
-    step_delay_s: float = 0.0
-    #: None = fork when available; False forces inline (no kill immunity)
-    use_fork: bool | None = None
 
 
-def _chunk_main(conn, job_type: str, params: dict, state: dict,
-                max_steps: int, step_delay_s: float) -> None:
-    """Child entry point: run up to ``max_steps`` stepper iterations.
+def _run_steps(chunk: tuple) -> tuple:
+    """Run up to ``max_steps`` stepper iterations of one chunk.
 
-    The ``jobs.chunk`` span parents naturally across the fork: the child
-    inherits the executor thread's span stack, whose top is the parent's
-    open ``jobs.execute`` span, and span uids are ``"<pid>-<seq>"`` so
-    the child's ids never collide with the parent's.  Inline (no-fork)
-    execution takes the identical path in the executor thread itself.
+    In a forked chunk worker the ``jobs.chunk`` span parents to the
+    parent's open ``jobs.execute`` span through the call's trace
+    context; inline (no-fork) execution takes the identical path in the
+    executor thread itself.  A stepper exception becomes
+    :class:`_ChunkError`, which fails the job cleanly.
     """
+    job_type, params, state, max_steps = chunk
     try:
         with span("jobs.chunk", job_type=job_type, max_steps=max_steps):
             stepper = build_stepper(job_type, params)
@@ -80,21 +73,14 @@ def _chunk_main(conn, job_type: str, params: dict, state: dict,
             result = None
             steps = 0
             while steps < max_steps and not stepper.done(state):
-                if step_delay_s > 0.0:
-                    time.sleep(step_delay_s)
                 state, progress = stepper.step(state)
                 steps += 1
             done = stepper.done(state)
             if done:
                 result, state = stepper.finalize(state)
-        conn.send(("ok", state, progress, result, done))
-    except Exception as error:  # noqa: BLE001 - marshalled to the parent
-        try:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
+    except Exception as error:  # noqa: BLE001 - recorded on the job
+        raise _ChunkError(f"{type(error).__name__}: {error}") from None
+    return state, progress, result, done
 
 
 class JobExecutor:
@@ -109,15 +95,11 @@ class JobExecutor:
         self._closed = False
         self._drain_on_close = True
         self._busy = False
-        self._child_pid: int | None = None
-        self._child_process = None
+        self._worker: ForkedWorker | None = None
         self._current_job_id: str | None = None
         self._counts = {"completed": 0, "failed": 0, "cancelled": 0,
                         "crashes": 0, "chunks": 0, "requeued": 0}
-        use_fork = self.config.use_fork
-        self._use_fork = fork_available() if use_fork is None else bool(use_fork)
-        self._ctx = multiprocessing.get_context("fork") if self._use_fork \
-            else None
+        self._use_fork = fork_available()
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="repro-jobs-executor")
 
@@ -134,7 +116,8 @@ class JobExecutor:
     @property
     def child_pid(self) -> int | None:
         with self._lock:
-            return self._child_pid
+            worker = self._worker
+        return worker.pid if worker is not None else None
 
     @property
     def current_job_id(self) -> str | None:
@@ -246,7 +229,7 @@ class JobExecutor:
                 break
             try:
                 state, progress, result, done = self._run_chunk(record, state)
-            except StepCrashedError:
+            except WorkerDied:
                 with self._lock:
                     self._counts["crashes"] += 1
                     closing = self._closed
@@ -301,75 +284,25 @@ class JobExecutor:
 
     # -- one chunk ------------------------------------------------------
     def _run_chunk(self, record: JobRecord, state: dict):
-        if not self._use_fork:
-            return self._run_chunk_inline(record, state)
-        check_fork_safety()
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_chunk_main,
-            args=(child_conn, record.type, record.params, state,
-                  self.config.checkpoint_every, self.config.step_delay_s),
-            daemon=True, name=f"repro-jobs-step-{record.id}")
-        process.start()
-        child_conn.close()
+        chunk = (record.type, record.params, state, self.config.checkpoint_every)
         with self._lock:
             self._busy = True
-            self._child_pid = process.pid
-            self._child_process = process
         try:
+            if not self._use_fork:
+                return _run_steps(chunk)
+            worker = ForkedWorker(lambda: _run_steps,
+                                  name=f"repro-jobs-step-{record.id}")
+            with self._lock:
+                self._worker = worker
             try:
-                if not parent_conn.poll(self.config.chunk_timeout_s):
-                    process.terminate()
-                    raise StepCrashedError(
-                        f"step process for job {record.id} timed out after "
-                        f"{self.config.chunk_timeout_s}s")
-                message = parent_conn.recv()
-            except (EOFError, OSError) as error:
-                raise StepCrashedError(
-                    f"step process for job {record.id} died mid-chunk"
-                ) from error
-        finally:
-            process.join(5.0)
-            parent_conn.close()
-            with self._lock:
-                self._busy = False
-                self._child_pid = None
-                self._child_process = None
-        return self._unpack(message)
-
-    def _run_chunk_inline(self, record: JobRecord, state: dict):
-        """No-fork fallback: same chunk semantics, no kill immunity."""
-
-        class _Box:
-            payload = None
-
-            def send(self, value):
-                self.payload = value
-
-            def close(self):
-                pass
-
-        box = _Box()
-        with self._lock:
-            self._busy = True
-        try:
-            _chunk_main(box, record.type, record.params, state,
-                        self.config.checkpoint_every,
-                        self.config.step_delay_s)
+                return worker.call(chunk, timeout_s=self.config.chunk_timeout_s)
+            finally:
+                with self._lock:
+                    self._worker = None
+                worker.close(timeout_s=5.0)
         finally:
             with self._lock:
                 self._busy = False
-        if box.payload is None:
-            raise StepCrashedError(f"inline chunk for job {record.id} "
-                                   f"produced no result")
-        return self._unpack(box.payload)
-
-    @staticmethod
-    def _unpack(message):
-        if message[0] == "error":
-            raise _ChunkError(message[1])
-        _, state, progress, result, done = message
-        return state, progress, result, done
 
     # -- shutdown -------------------------------------------------------
     def close(self, drain: bool = True, timeout_s: float = 30.0) -> None:
@@ -385,16 +318,13 @@ class JobExecutor:
                 return
             self._closed = True
             self._drain_on_close = drain
-            process = self._child_process
+            worker = self._worker
             self._wake.notify_all()
-        if not drain and process is not None:
-            try:
-                process.terminate()
-            except (OSError, AttributeError):
-                pass
+        if not drain and worker is not None:
+            worker.terminate()
         if self._thread.is_alive():
             self._thread.join(timeout_s)
 
 
 class _ChunkError(RuntimeError):
-    """The stepper raised inside the child; the job fails cleanly."""
+    """The stepper raised inside the chunk; the job fails cleanly."""

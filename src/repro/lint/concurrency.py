@@ -42,7 +42,8 @@ LOCK_CONSTRUCTORS = frozenset({"Lock", "RLock", "make_lock", "make_rlock"})
 CONDITION_CONSTRUCTORS = frozenset({"Condition", "make_condition"})
 
 #: callables whose invocation forks or dispatches to a process pool
-FORK_DISPATCHERS = frozenset({"fork", "parallel_map", "Pool", "ProcessPoolExecutor"})
+FORK_DISPATCHERS = frozenset({"fork", "parallel_map", "ForkedWorker", "Pool",
+                              "ProcessPoolExecutor"})
 
 #: handler-registration entry points that create implicit lanes
 HANDLER_REGISTRARS = frozenset({"register", "signal", "register_at_fork"})
@@ -479,9 +480,9 @@ class LockHeldAcrossFork(Rule):
 
     id = "REP102"
     severity = "error"
-    description = ("os.fork / parallel_map / multiprocessing pool dispatch inside "
-                   "a `with <lock>:` block forks the lock in an owned state — "
-                   "children deadlock on first acquire")
+    description = ("os.fork / parallel_map / ForkedWorker / multiprocessing pool "
+                   "dispatch inside a `with <lock>:` block forks the lock in an "
+                   "owned state — children deadlock on first acquire")
 
     def check(self, file: LintFile):
         module, per_class, at_module = _analysis(file)

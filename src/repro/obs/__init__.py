@@ -33,7 +33,7 @@ Sub-modules:
   recent spans/logs/requests, dumped atomically on SIGQUIT or lane
   crashes (``repro flightdump`` renders one);
 * :mod:`repro.obs.process` — process-level gauges (RSS, open fds,
-  uptime, live ``/dev/shm`` segments).
+  uptime).
 
 ``python -m repro.cli report <trace.jsonl>`` summarizes a recorded
 trace (``--export-chrome``, ``--critical-path``, ``--requests`` for the

@@ -1,4 +1,4 @@
-"""Process-level gauges: RSS, open fds, uptime, live /dev/shm segments.
+"""Process-level gauges: RSS, open fds, uptime.
 
 Read straight from ``/proc`` (Linux) with graceful degradation — every
 reader returns a best-effort number and never raises, because a metrics
@@ -16,8 +16,7 @@ import time
 from .metrics import gauge
 
 __all__ = [
-    "rss_bytes", "open_fd_count", "shm_segment_count",
-    "refresh_process_gauges", "process_info",
+    "rss_bytes", "open_fd_count", "refresh_process_gauges", "process_info",
 ]
 
 _STARTED_S = time.time()
@@ -49,16 +48,6 @@ def open_fd_count() -> int:
             return 0
 
 
-def shm_segment_count(prefix: str = "repro-") -> int:
-    """Live ``/dev/shm`` segments with our prefix (leak canary: shared
-    weight segments should die with the server that published them)."""
-    try:
-        return sum(1 for name in os.listdir("/dev/shm")
-                   if name.startswith(prefix))
-    except OSError:
-        return 0
-
-
 def uptime_s() -> float:
     return time.time() - _STARTED_S
 
@@ -68,7 +57,6 @@ def refresh_process_gauges() -> None:
     gauge("process.rss_bytes").set(float(rss_bytes()))
     gauge("process.open_fds").set(float(open_fd_count()))
     gauge("process.uptime_s").set(round(uptime_s(), 3))
-    gauge("process.shm_segments").set(float(shm_segment_count()))
 
 
 def process_info() -> dict:
@@ -78,5 +66,4 @@ def process_info() -> dict:
         "rss_bytes": rss_bytes(),
         "open_fds": open_fd_count(),
         "uptime_s": round(uptime_s(), 3),
-        "shm_segments": shm_segment_count(),
     }

@@ -3,9 +3,14 @@
 ``repro.runtime`` centralizes the knobs that decide how fast the
 reproduction runs on a given machine without changing any numerics:
 
-* :mod:`repro.runtime.pool` — a fork-based worker pool for
-  embarrassingly parallel stages (rigorous dataset generation), with a
-  deterministic serial fallback and single-threaded FFT/BLAS workers;
+* :mod:`repro.runtime.worker` — :class:`ForkedWorker`, the one
+  forked-process primitive behind every fork in the package (the pool
+  below, the job executor's chunks, the serving workers): ready
+  handshake, pipe EOF as a crash (:class:`WorkerDied`), trace-context
+  hand-off, single-threaded FFT/BLAS in the child, and reaping;
+* :mod:`repro.runtime.pool` — :func:`parallel_map` over forked workers
+  for embarrassingly parallel stages (rigorous dataset generation),
+  with a deterministic serial fallback;
 * :mod:`repro.runtime.fft` — the thread count handed to ``scipy.fft``
   (S4D global convolution);
 * :mod:`repro.runtime.cache` — LRU caches for the PEB propagators,
@@ -22,6 +27,7 @@ generation) and ``REPRO_FFT_WORKERS`` (scipy.fft thread count); see
 """
 
 from .pool import resolve_workers, fork_available, parallel_map
+from .worker import ForkedWorker, WorkerDied
 from .fft import fft_workers, set_fft_workers
 from .cache import (
     cached_lateral_propagator, cached_z_propagator,
@@ -36,6 +42,7 @@ from .sync import (
 
 __all__ = [
     "resolve_workers", "fork_available", "parallel_map",
+    "ForkedWorker", "WorkerDied",
     "fft_workers", "set_fft_workers",
     "cached_lateral_propagator", "cached_z_propagator",
     "clear_propagator_caches", "propagator_cache_info",

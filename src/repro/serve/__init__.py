@@ -19,11 +19,11 @@ subsystem is stdlib + numpy only:
   long-running checkpointed work (gradient-based OPC/ILT) submitted
   over HTTP, surviving worker crashes and server restarts
   (``--jobs-dir``; see ``docs/jobs.md``);
-* :mod:`repro.serve.shm` / :mod:`repro.serve.pool` /
-  :mod:`repro.serve.router` — the multi-process backend: weights
-  published once into shared memory, N forked workers each owning a
-  core and its own plan cache, and a content-hash shard router keeping
-  the per-shard response caches coherent (``--serve-workers`` /
+* :mod:`repro.serve.pool` / :mod:`repro.serve.router` — the
+  multi-process backend: N forked workers (:mod:`repro.runtime.worker`)
+  each owning a core and its own plan cache and serving the parent's
+  model, read-only, through the fork, and a content-hash shard router
+  keeping the per-shard response caches coherent (``--serve-workers`` /
   ``REPRO_SERVE_WORKERS``).
 
 Entry point: ``python -m repro.cli serve --ckpt model.npz``; load-test
@@ -38,7 +38,7 @@ from .engine import (
     ENGINES, PlanExecutor, clear_plan_cache, plan_cache_stats, resolve_engine,
 )
 from .jobs import JobService
-from .pool import PoolConfig, WorkerCrashedError, WorkerPool, resolve_serve_workers
+from .pool import WorkerCrashedError, WorkerPool, resolve_serve_workers
 from .registry import (
     IntegrityError, ModelManifest, ModelRegistry, RegistryError,
     import_legacy_sidecar, load_checkpoint, manifest_path_for, read_manifest,
@@ -48,10 +48,6 @@ from .router import ShardRouter, shard_for
 from .server import (
     DEFAULT_LATENCY_BUCKETS, PredictServer, ServeConfig, ServedModel,
     escape_label_value, render_prometheus,
-)
-from .shm import (
-    ShmSpec, WeightStore, attach_views, live_segments, publish_weights,
-    release_weights, segment_name, shm_stats,
 )
 
 __all__ = [
@@ -64,8 +60,6 @@ __all__ = [
     "manifest_path_for", "import_legacy_sidecar",
     "PredictServer", "ServeConfig", "ServedModel", "render_prometheus",
     "escape_label_value", "DEFAULT_LATENCY_BUCKETS", "JobService",
-    "PoolConfig", "WorkerPool", "WorkerCrashedError", "resolve_serve_workers",
+    "WorkerPool", "WorkerCrashedError", "resolve_serve_workers",
     "ShardRouter", "shard_for",
-    "ShmSpec", "WeightStore", "segment_name", "publish_weights",
-    "release_weights", "attach_views", "live_segments", "shm_stats",
 ]

@@ -1,68 +1,72 @@
 """Forked worker processes for the multi-process serving backend.
 
 The single-process server serializes every forward on one core because
-of the GIL.  The :class:`WorkerPool` escapes it: N forked worker
-processes, each owning one core, its own compiled-plan cache and a
-read-only mapping of the shared-memory weight segment published by
-:mod:`repro.serve.shm`.  The parent keeps the queues (the per-shard
-:class:`~repro.serve.batcher.MicroBatcher`\\ s) and ships each coalesced
-batch to its shard's worker over a ``multiprocessing.Pipe``.
+of the GIL.  The :class:`WorkerPool` escapes it: N
+:class:`~repro.runtime.worker.ForkedWorker`\\ s, one per shard, each
+owning one core and its own compiled-plan cache.  A worker serves the
+model it inherits through the fork — the parent's copy, already cast to
+float64 and carrying its output stats — with the parameter arrays
+marked read-only in the child, so an accidental in-place write fails
+loudly instead of silently diverging one worker.  The parent keeps the
+queues (the per-shard :class:`~repro.serve.batcher.MicroBatcher`\\ s)
+and ships each coalesced batch to its shard's worker.
 
-Lifecycle, in this module:
+Lifecycle, in this module (the fork, the ready handshake, crash
+detection, trace hand-off and reaping are the primitive's):
 
-* **spawn** — fork (never ``spawn``: the worker needs the parent's
-  imported world and the shm segment is already mapped) after a
-  :func:`repro.runtime.sync.check_fork_safety` sweep;
+* **spawn** — a worker that fails to start fails the pool's
+  construction with the child's own error;
 * **health heartbeat** — a daemon monitor thread pings idle workers
-  every ``heartbeat_interval_s`` and respawns any that died between
+  every :data:`HEARTBEAT_INTERVAL_S` and respawns any that died between
   requests;
-* **crash detection** — the forwarding thread polls the pipe *and* the
-  child's liveness, so a SIGKILL mid-batch surfaces within one poll
-  tick as :class:`WorkerCrashedError` (the HTTP layer maps it to
-  503 + ``Retry-After``; the request is never answered with garbage);
+* **crash detection** — a worker that dies mid-batch (or overruns
+  :data:`FORWARD_TIMEOUT_S` and is terminated) raises
+  :class:`WorkerCrashedError` (the HTTP layer maps it to 503 +
+  ``Retry-After``; the request is never answered with garbage);
 * **respawn** — the fork happens with no instrumented lock held (the
-  sanitizer's fork hook would rightly object otherwise); restart
-  counts feed ``/healthz``;
-* **drain** — ``close`` stops the monitor, sends every worker a stop
-  message, joins with a timeout, escalates to ``terminate``, and
-  releases the weight segment (unlinking it when this pool held the
-  last reference).
+  sanitizer's fork hook would rightly object otherwise); restart counts
+  feed ``/healthz``, and :data:`MAX_SPAWN_FAILURES` consecutive failed
+  respawns disable the shard instead of forking forever;
+* **drain** — ``close`` stops the monitor and closes every worker
+  (stop message, join, escalation to ``terminate``).
 
-Trace identity crosses the fork per batch: the parent captures its
-:class:`~repro.obs.TraceContext` inside the ``serve.batch`` span and the
-worker re-activates it around its ``serve.forward`` span, so one request
-still reads back from the trace as one connected tree.  The active
-trace *path* rides along too — tracing toggled on after the pool
-spawned still reaches workers on the next batch.
+Trace identity crosses the fork per batch: ``forward`` runs inside the
+``serve.batch`` span, the primitive carries that context and the active
+trace path, and the worker's ``serve.forward`` span parents to it, so
+one request still reads back from the trace as one connected tree.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import (
-    capture_context, counter, current_recorder, current_trace_path,
-    disable_tracing, enable_tracing, record_lane_crash, span,
-    trace_enabled, use_context,
-)
-from repro.runtime.pool import fork_available
-from repro.runtime.sync import check_fork_safety, make_lock
+from repro.obs import counter, current_recorder, record_lane_crash, span
+from repro.runtime.pool import resolve_worker_count
+from repro.runtime.sync import make_lock
+from repro.runtime.worker import ForkedWorker, WorkerDied, fork_available
 from repro.tensor import Tensor, no_grad
 
 from .batcher import ServeError
-from .engine import PlanExecutor, plan_cache_stats
-from .registry import ModelManifest, _build_model
-from .shm import ShmSpec, WeightStore, attach_views, release_weights
+from .engine import PlanExecutor
 
-__all__ = ["PoolConfig", "WorkerCrashedError", "WorkerPool",
-           "resolve_serve_workers"]
+__all__ = ["WorkerCrashedError", "WorkerPool", "resolve_serve_workers"]
+
+#: monitor-thread poll period for liveness and idle heartbeats
+HEARTBEAT_INTERVAL_S = 0.25
+#: cap on one batch (or heartbeat) round trip before the worker is
+#: declared wedged, terminated and replaced
+FORWARD_TIMEOUT_S = 60.0
+#: how long ``close(drain=True)`` waits for a worker to exit before
+#: escalating to ``terminate``
+DRAIN_TIMEOUT_S = 10.0
+#: consecutive failed respawns before a shard is disabled instead of
+#: respawned in a tight loop; surfaces as ``alive < workers`` on
+#: ``/healthz``
+MAX_SPAWN_FAILURES = 3
 
 
 class WorkerCrashedError(ServeError):
@@ -79,231 +83,93 @@ def resolve_serve_workers(workers: int | None = None) -> int:
 
     The default is 1 — the historical in-process path with zero fork or
     pipe overhead — not the core count: multi-process serving is opt-in
-    per deployment.  Non-positive or unparsable values raise so a typo'd
-    environment fails loudly.
+    per deployment.
     """
-    if workers is None:
-        env = os.environ.get("REPRO_SERVE_WORKERS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"REPRO_SERVE_WORKERS={env!r} is not an integer") from exc
-        else:
-            workers = 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"serve worker count must be >= 1, got {workers}")
-    return workers
-
-
-@dataclass(frozen=True)
-class PoolConfig:
-    """Worker-pool lifecycle knobs."""
-
-    #: monitor-thread poll period for liveness and idle heartbeats
-    heartbeat_interval_s: float = 0.25
-    #: parent-side cap on one batch round trip before the worker is
-    #: declared wedged and replaced
-    forward_timeout_s: float = 60.0
-    #: artificial pre-forward sleep inside the worker; 0 in production,
-    #: raised by the fault-injection tests to widen the kill window
-    forward_delay_s: float = 0.0
-    #: how long ``close(drain=True)`` waits for a worker to exit before
-    #: escalating to ``terminate``
-    drain_timeout_s: float = 10.0
-    #: pipe poll tick while waiting for a worker's reply
-    poll_interval_s: float = 0.05
-    #: how long a freshly forked worker gets to map weights, rebuild the
-    #: model and report ready before the spawn is declared failed
-    spawn_timeout_s: float = 30.0
-    #: consecutive failed respawns before a shard is disabled instead of
-    #: respawned in a tight loop (deterministic init failures would
-    #: otherwise fork forever); surfaces as ``alive < workers`` on
-    #: ``/healthz``
-    max_spawn_failures: int = 3
-
-
-@dataclass(frozen=True)
-class _WorkerSpec:
-    """Everything a forked worker needs to rebuild its serving state."""
-
-    manifest: ModelManifest
-    shm: ShmSpec
-    engine: str
-    label: str
-    forward_delay_s: float
+    return resolve_worker_count(workers, "REPRO_SERVE_WORKERS", 1)
 
 
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _sync_tracing(path: str | None) -> None:
-    """Match the worker's tracing state to the parent's current path."""
-    if path is None:
-        if trace_enabled():
-            disable_tracing()
-    elif not trace_enabled() or current_trace_path() != path:
-        enable_tracing(path, truncate=False)
+def _forward(model, executor, batch: np.ndarray, engine: str) -> np.ndarray:
+    """One batch through the worker's model (module level, so a test can
+    slow it down before the fork to widen the kill window)."""
+    with span("serve.forward", size=len(batch), engine=engine,
+              worker_pid=os.getpid()):
+        output = executor.run(batch) if executor is not None else None
+        if output is None:
+            with no_grad():
+                output = model(Tensor(batch)).numpy()
+    return np.asarray(output)
 
 
-def _worker_main(spec: _WorkerSpec, conn, close_in_child) -> None:
-    """Forked worker entry point: map weights, rebuild, serve batches."""
-    # SIGINT goes to the whole foreground process group; the parent owns
-    # orderly shutdown and tells workers to stop over the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # forked children inherit every other worker's pipe ends; close them
-    # so a dead sibling's pipe actually reports EOF to the parent
-    for other in close_in_child:
-        try:
-            other.close()
-        except OSError:
-            pass
-    try:
-        shm, views = attach_views(spec.shm)
-        model = _build_model(spec.manifest)
-        for name, param in model.named_parameters():
-            param.data = views[name]
-        # non-parameter state travels in the manifest, exactly as
-        # load_checkpoint restores it — the segment holds parameters only
-        model.set_output_stats(spec.manifest.output_mean,
-                               spec.manifest.output_std)
-        model.eval()
-        executor = None
-        if spec.engine == "plan":
-            executor = PlanExecutor(model, spec.manifest.content_hash,
-                                    label=spec.label)
-    except Exception as error:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(("fatal", 0, ServeError(
-                f"worker init failed (is the manifest registry-faithful?): "
-                f"{error!r}")))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", 0, {"pid": os.getpid()}))
-    batches_done = 0
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break  # parent went away; nothing left to serve
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "ping":
-                conn.send(("pong", message[1], {
-                    "pid": os.getpid(),
-                    "batches_done": batches_done,
-                    "plan_cache": plan_cache_stats(),
-                }))
-                continue
-            if kind != "batch":
-                conn.send(("err", message[1],
-                           ServeError(f"unknown pool message {kind!r}")))
-                continue
-            _, seq, batch, ctx, trace_path = message
-            _sync_tracing(trace_path)
-            if spec.forward_delay_s > 0:
-                time.sleep(spec.forward_delay_s)
-            try:
-                with use_context(ctx), \
-                        span("serve.forward", size=len(batch),
-                             engine=spec.engine, worker_pid=os.getpid()):
-                    output = None
-                    if executor is not None:
-                        output = executor.run(batch)
-                    if output is None:
-                        with no_grad():
-                            output = model(Tensor(batch)).numpy()
-                batches_done += 1
-                conn.send(("ok", seq, np.asarray(output)))
-            except Exception as error:  # noqa: BLE001 - forwarded to parent
-                try:
-                    conn.send(("err", seq, error))
-                except Exception:  # noqa: BLE001 - unpicklable exception
-                    conn.send(("err", seq, ServeError(repr(error))))
-    finally:
-        try:
-            conn.close()
-        finally:
-            shm.close()
+def _serve_batches(model, content_hash: str, engine: str, label: str):
+    """Worker setup: freeze the inherited parameters, return the handler."""
+    for _, param in model.named_parameters():
+        param.data.setflags(write=False)
+    executor = PlanExecutor(model, content_hash, label=label) \
+        if engine == "plan" else None
+
+    def handle(batch):
+        if batch is None:
+            return None  # heartbeat
+        return _forward(model, executor, batch, engine)
+    return handle
 
 
 class _WorkerHandle:
-    """Parent-side state for one worker process."""
+    """Parent-side state for one shard's worker (stable across respawns)."""
 
     def __init__(self, shard: int, name: str):
         self.shard = shard
-        self.name = name
-        # serializes pipe use per worker; ordering: handle.lock may be
+        # serializes calls per worker; ordering: handle.lock may be
         # taken before the pool stats lock, never the reverse
         self.lock = make_lock(f"serve.pool.{name}.w{shard}")
-        self.process = None
-        self.conn = None
-        self.child_conn = None
+        self.process: ForkedWorker | None = None
         self.restarts = 0
         self.batches_done = 0
         self.last_heartbeat_s: float | None = None
         self.respawning = False
         self.spawn_failures = 0
-        #: set after ``max_spawn_failures`` consecutive failed respawns;
-        #: a disabled shard is never forked again (no respawn storms)
+        #: set after MAX_SPAWN_FAILURES consecutive failed respawns; a
+        #: disabled shard is never forked again (no respawn storms)
         self.disabled = False
-        #: True while a batch round trip is in flight on the pipe; the
-        #: fault-injection tests key their kill window off this
-        self.busy = False
-        self.seq = 0
+
+    @property
+    def busy(self) -> bool:
+        """A batch is in flight: the fault-injection tests' kill window."""
+        return self.process is not None and self.process.busy
 
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
-
-    def conns(self) -> list:
-        return [c for c in (self.conn, self.child_conn) if c is not None]
+        return self.process is not None and self.process.alive()
 
 
 class WorkerPool:
     """N forked serving workers, one per shard, with crash respawn."""
 
-    def __init__(self, manifest: ModelManifest, store: WeightStore,
-                 engine: str, workers: int,
-                 config: PoolConfig | None = None, name: str = "default"):
+    def __init__(self, model, content_hash: str, engine: str, workers: int,
+                 name: str = "default"):
         if workers < 1:
             raise ValueError(f"worker pool needs >= 1 workers, got {workers}")
         if not fork_available():
             raise RuntimeError(
                 "multi-process serving requires the fork start method; "
                 "run with workers=1 on this platform")
-        self.manifest = manifest
         self.engine = engine
-        self.config = config if config is not None else PoolConfig()
         self.name = name
-        self._store = store
-        self._ctx = multiprocessing.get_context("fork")
-        self._spec = _WorkerSpec(
-            manifest=manifest, shm=store.spec, engine=engine,
-            label=f"{name}-pool", forward_delay_s=self.config.forward_delay_s)
+        self._setup = lambda: _serve_batches(model, content_hash, engine,
+                                             f"{name}-pool")
         self._stats_lock = make_lock(f"serve.pool.{name}.stats")
         self._closed = False
         self._workers = [_WorkerHandle(shard, name) for shard in range(workers)]
-        check_fork_safety()
         try:
             for handle in self._workers:
                 self._spawn(handle)
         except Exception:
-            # a failed first spawn (unbuildable manifest, say) must not
-            # strand the siblings that did start
+            # a failed first spawn must not strand the siblings that did start
             for handle in self._workers:
-                if handle.process is not None and handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(2.0)
-                if handle.conn is not None:
-                    try:
-                        handle.conn.close()
-                    except OSError:
-                        pass
+                if handle.process is not None:
+                    handle.process.close(timeout_s=0.0)
             raise
         self._monitor_stop = threading.Event()
         self._monitor = threading.Thread(
@@ -317,55 +183,16 @@ class WorkerPool:
 
     # -- spawn / respawn ----------------------------------------------
     def _spawn(self, handle: _WorkerHandle) -> None:
-        """Fork a fresh process for ``handle``.  Caller must NOT hold
+        """Fork a fresh worker for ``handle``.  Caller must NOT hold
         ``handle.lock`` — forking under an instrumented lock is exactly
         what the sanitizer's fork hook flags."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        close_in_child = [c for other in self._workers
-                          if other is not handle for c in other.conns()]
-        process = self._ctx.Process(
-            target=_worker_main, args=(self._spec, child_conn, close_in_child),
-            daemon=True, name=f"repro-serve-{self.name}-w{handle.shard}")
-        process.start()
-        child_conn.close()
-        # ready handshake: the worker maps the segment and rebuilds the
-        # model before reporting in — a manifest that cannot rebuild the
-        # served model fails the spawn here, loudly, instead of leaving a
-        # worker that dies on its first batch
-        try:
-            if not parent_conn.poll(self.config.spawn_timeout_s):
-                raise WorkerCrashedError(
-                    f"serving worker {handle.shard} (pool {self.name!r}) did "
-                    f"not report ready within {self.config.spawn_timeout_s}s")
-            try:
-                kind, _seq, payload = parent_conn.recv()
-            except (EOFError, OSError) as error:
-                raise WorkerCrashedError(
-                    f"serving worker {handle.shard} (pool {self.name!r}) died "
-                    "during startup") from error
-            if kind != "ready":
-                if isinstance(payload, Exception):
-                    raise payload
-                raise WorkerCrashedError(
-                    f"serving worker {handle.shard} failed to start: {payload}")
-        except Exception:
-            process.terminate()
-            process.join(2.0)
-            try:
-                parent_conn.close()
-            except OSError:
-                pass
-            raise
-        old_conn = handle.conn
-        handle.process = process
-        handle.conn = parent_conn
-        handle.child_conn = None
-        handle.last_heartbeat_s = time.monotonic()
-        if old_conn is not None:
-            try:
-                old_conn.close()
-            except OSError:
-                pass
+        process = ForkedWorker(
+            self._setup, name=f"repro-serve-{self.name}-w{handle.shard}")
+        with handle.lock:
+            old, handle.process = handle.process, process
+            handle.last_heartbeat_s = time.monotonic()
+        if old is not None:
+            old.close(timeout_s=0.0)
         counter("serve.pool.spawned").inc()
 
     def _mark_crashed(self, handle: _WorkerHandle, why: str) -> WorkerCrashedError:
@@ -394,7 +221,7 @@ class WorkerPool:
             raise
 
     def _monitor_run(self) -> None:
-        while not self._monitor_stop.wait(self.config.heartbeat_interval_s):
+        while not self._monitor_stop.wait(HEARTBEAT_INTERVAL_S):
             for handle in self._workers:
                 if self._closed:
                     return
@@ -423,7 +250,7 @@ class WorkerPool:
                 counter("serve.pool.respawn_failures").inc()
                 with self._stats_lock:
                     handle.spawn_failures += 1
-                    if handle.spawn_failures >= self.config.max_spawn_failures:
+                    if handle.spawn_failures >= MAX_SPAWN_FAILURES:
                         handle.disabled = True
                 return
             with self._stats_lock:
@@ -441,23 +268,12 @@ class WorkerPool:
         try:
             if not handle.alive():
                 return
-            handle.seq += 1
-            seq = handle.seq
             try:
-                handle.conn.send(("ping", seq))
-                deadline = time.monotonic() + self.config.heartbeat_interval_s
-                while time.monotonic() < deadline:
-                    if handle.conn.poll(self.config.poll_interval_s):
-                        kind, got_seq, _info = handle.conn.recv()
-                        if kind == "pong" and got_seq == seq:
-                            # batch counts stay parent-side: they span
-                            # respawns, the worker's own count does not
-                            handle.last_heartbeat_s = time.monotonic()
-                            return
-                    if not handle.alive():
-                        return
-            except (EOFError, OSError, BrokenPipeError):
+                handle.process.call(None, timeout_s=FORWARD_TIMEOUT_S)
+            except WorkerDied:
                 return  # liveness check on the next tick handles it
+            # batch counts stay parent-side: they span respawns
+            handle.last_heartbeat_s = time.monotonic()
         finally:
             handle.lock.release()
 
@@ -465,7 +281,6 @@ class WorkerPool:
     def forward(self, shard: int, batch: np.ndarray) -> np.ndarray:
         """Run one batch on ``shard``'s worker; raises on crash/timeout."""
         handle = self._workers[shard]
-        trace_path = current_trace_path() if trace_enabled() else None
         with handle.lock:
             if self._closed:
                 raise ServeError(f"pool {self.name!r} is shut down")
@@ -475,41 +290,15 @@ class WorkerPool:
                     f"disabled after {handle.spawn_failures} failed respawns")
             if not handle.alive():
                 raise self._mark_crashed(handle, "was down when the batch arrived")
-            handle.seq += 1
-            seq = handle.seq
-            handle.busy = True
             try:
-                try:
-                    handle.conn.send(("batch", seq, np.ascontiguousarray(batch),
-                                      capture_context(), trace_path))
-                except (OSError, BrokenPipeError) as error:
-                    raise self._mark_crashed(handle, "pipe broke on send") from error
-                deadline = time.monotonic() + self.config.forward_timeout_s
-                while True:
-                    reply = None
-                    try:
-                        if handle.conn.poll(self.config.poll_interval_s):
-                            reply = handle.conn.recv()
-                    except (EOFError, OSError, BrokenPipeError) as error:
-                        raise self._mark_crashed(handle, "died mid-batch") from error
-                    if reply is not None:
-                        kind, got_seq, payload = reply
-                        if got_seq != seq:
-                            continue  # stale reply (a drained heartbeat, say)
-                        if kind == "ok":
-                            with self._stats_lock:
-                                handle.batches_done += 1
-                            return payload
-                        raise payload
-                    if not handle.alive():
-                        raise self._mark_crashed(handle, "died mid-batch")
-                    if time.monotonic() > deadline:
-                        handle.process.terminate()
-                        raise self._mark_crashed(
-                            handle,
-                            f"timed out after {self.config.forward_timeout_s}s")
-            finally:
-                handle.busy = False
+                output = handle.process.call(np.ascontiguousarray(batch),
+                                             timeout_s=FORWARD_TIMEOUT_S)
+            except WorkerDied as error:
+                raise self._mark_crashed(handle, f"failed mid-batch ({error})") \
+                    from error
+        with self._stats_lock:
+            handle.batches_done += 1
+        return output
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
@@ -538,7 +327,7 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     def close(self, drain: bool = True) -> None:
-        """Stop the monitor, drain workers, release the weight segment."""
+        """Stop the monitor, then stop and reap every worker."""
         if self._closed:
             return
         self._closed = True
@@ -546,26 +335,11 @@ class WorkerPool:
         self._monitor.join(timeout=5.0)
         with span("serve.pool.close", drain=drain, workers=len(self._workers)):
             for handle in self._workers:
+                # under the lock: a heartbeat still on the pipe finishes first
                 with handle.lock:
-                    process, conn = handle.process, handle.conn
-                    if conn is not None:
-                        try:
-                            conn.send(("stop",))
-                        except (OSError, BrokenPipeError):
-                            pass
-                if process is not None:
-                    process.join(self.config.drain_timeout_s if drain else 0.5)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(2.0)
-                with handle.lock:
-                    if handle.conn is not None:
-                        try:
-                            handle.conn.close()
-                        except OSError:
-                            pass
-                        handle.conn = None
-            release_weights(self._store)
+                    if handle.process is not None:
+                        handle.process.close(
+                            timeout_s=DRAIN_TIMEOUT_S if drain else 0.5)
 
     @property
     def closed(self) -> bool:

@@ -34,15 +34,17 @@ structured JSON access-log line on stderr (info lines only with
 
 Failure mapping: malformed payloads are 400, unknown models 404,
 oversized bodies 413, queue backpressure 503 (with ``Retry-After``),
-queue-deadline expiry 504.  Shutdown is graceful: the listener stops,
-in-flight handler threads finish (``block_on_close``), and each
-batcher drains its queue before the process exits.
+queue-deadline expiry 504, and any other exception a route raises a 500
+with a JSON body and ``Connection: close``.  Shutdown is graceful: the
+listener stops, in-flight handler threads finish (``block_on_close``),
+and each batcher drains its queue before the process exits.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import threading
 import time
@@ -71,10 +73,9 @@ from .batcher import (
 )
 from .engine import PlanExecutor, plan_cache_stats, resolve_engine
 from .jobs import JobService
-from .pool import PoolConfig, WorkerCrashedError, WorkerPool, resolve_serve_workers
+from .pool import WorkerCrashedError, WorkerPool, resolve_serve_workers
 from .registry import ModelManifest
 from .router import ShardRouter
-from .shm import publish_weights, release_weights, shm_stats
 
 __all__ = ["ServeConfig", "ServedModel", "PredictServer", "render_prometheus",
            "escape_label_value"]
@@ -132,17 +133,16 @@ class ServedModel:
     ``workers`` selects the execution backend: 1 (the default, also via
     ``REPRO_SERVE_WORKERS``) keeps the historical in-process path — one
     micro-batcher thread running the forward under the GIL.  More than
-    one publishes the weights into a shared-memory segment, forks that
-    many worker processes (each with its own core and plan cache) and
-    routes requests across per-shard batchers by content hash; outputs
-    are bitwise identical either way.
+    one forks that many worker processes (each with its own core and
+    plan cache, serving this object's model, read-only, through the
+    fork) and routes requests across per-shard batchers by content hash;
+    outputs are bitwise identical either way.
     """
 
     def __init__(self, model, manifest: ModelManifest, policy: BatchPolicy,
                  health: HealthConfig | None = None,
                  peb: PEBConfig | None = None, engine: str | None = None,
-                 workers: int | None = None,
-                 pool_config: PoolConfig | None = None):
+                 workers: int | None = None):
         self.model = model
         self.manifest = manifest
         self.model.eval()
@@ -152,7 +152,6 @@ class ServedModel:
         self.workers = resolve_serve_workers(workers)
         self._executor = None
         self.pool = None
-        self._store = None
         if self.workers == 1 and self.engine == "plan":
             self._executor = PlanExecutor(
                 self.model, manifest.content_hash, label=label)
@@ -163,16 +162,9 @@ class ServedModel:
                 manifest.grid_config(), peb.catalysis_rate, config=health,
                 peb=peb, name=label)
         if self.workers > 1:
-            # publish once; the pool owns (and on close releases) the ref
-            self._store = publish_weights(model.state_dict(),
-                                          manifest.content_hash)
-            try:
-                self.pool = WorkerPool(manifest, self._store, self.engine,
-                                       self.workers, config=pool_config,
-                                       name=label)
-            except Exception:
-                release_weights(self._store)
-                raise
+            # forked after the cast: workers inherit float64 weights
+            self.pool = WorkerPool(self.model, manifest.content_hash,
+                                   self.engine, self.workers, name=label)
             self.batcher = ShardRouter(
                 self._shard_predict_fn, self.workers, policy, name=label,
                 observer=self._observe_batch)
@@ -390,73 +382,82 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length)
 
     # -- routes --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+    def _handle(self, route) -> None:
+        """Run one route with the error mapping every request gets: an
+        :class:`_HTTPError` is its own status, and any other exception
+        raised before the response started is a 500 with a JSON body —
+        the connection is never dropped without an answer."""
         parsed = urlparse(self.path)
         ctx = self._begin_request()
         try:
             with use_context(ctx):
-                if parsed.path == "/healthz":
-                    self._send_json(200, self.app.health())
-                elif parsed.path == "/metrics":
-                    self.app.refresh_cache_metrics()
-                    self._send(200, render_prometheus().encode(),
-                               "text/plain; version=0.0.4")
-                elif parsed.path == "/v1/telemetry":
-                    query = parse_qs(parsed.query)
-                    self._send_json(200, self.app.telemetry(
-                        prefix=query.get("prefix", [""])[0],
-                        window_s=_float_arg(query, "window_s")))
-                elif parsed.path == "/dashboard":
-                    self._send(200, self.app.dashboard().encode(),
-                               "text/html; charset=utf-8")
-                elif parsed.path == "/v1/models":
-                    self._send_json(200, {"models": self.app.list_models()})
-                elif parsed.path == "/v1/jobs":
-                    jobs = self._require_jobs()
-                    self._send_json(200, {"jobs": [
-                        _job_summary(record) for record in jobs.list()]})
-                elif parsed.path.startswith("/v1/jobs/"):
-                    jobs = self._require_jobs()
-                    record = self._lookup_job(jobs, parsed.path)
-                    self._send_json(200, _job_payload(record))
-                else:
-                    raise _HTTPError(404, f"no route {parsed.path}")
+                route(parsed)
         except _HTTPError as error:
             self._send_error_json(error)
+        except Exception as error:  # noqa: BLE001 - mapped to a 500 reply
+            if self._status is not None:
+                raise  # the response is already on the wire
+            counter("serve.http.unhandled_errors").inc()
+            self.server.handle_error(self.request, self.client_address)
+            # how much of the body was read is unknown: answer, then hang up
+            self._send_error_json(_HTTPError(
+                500, f"internal error: {type(error).__name__}: {error}",
+                close=True))
         finally:
             self._finish_request(parsed.path)
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        self._handle(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-        parsed = urlparse(self.path)
-        ctx = self._begin_request()
-        try:
-            with use_context(ctx):
-                if parsed.path == "/v1/predict":
-                    self._predict(parse_qs(parsed.query))
-                elif parsed.path == "/v1/jobs":
-                    self._submit_job()
-                else:
-                    raise _HTTPError(404, f"no route {parsed.path}")
-        except _HTTPError as error:
-            self._send_error_json(error)
-        finally:
-            self._finish_request(parsed.path)
+        self._handle(self._post)
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib casing
-        parsed = urlparse(self.path)
-        ctx = self._begin_request()
-        try:
-            with use_context(ctx):
-                if not parsed.path.startswith("/v1/jobs/"):
-                    raise _HTTPError(404, f"no route {parsed.path}")
-                jobs = self._require_jobs()
-                record = self._lookup_job(jobs, parsed.path)
-                record = jobs.cancel(record.id)
-                self._send_json(202, _job_payload(record))
-        except _HTTPError as error:
-            self._send_error_json(error)
-        finally:
-            self._finish_request(parsed.path)
+        self._handle(self._delete)
+
+    def _get(self, parsed) -> None:
+        if parsed.path == "/healthz":
+            self._send_json(200, self.app.health())
+        elif parsed.path == "/metrics":
+            self.app.refresh_cache_metrics()
+            self._send(200, render_prometheus().encode(),
+                       "text/plain; version=0.0.4")
+        elif parsed.path == "/v1/telemetry":
+            query = parse_qs(parsed.query)
+            self._send_json(200, self.app.telemetry(
+                prefix=query.get("prefix", [""])[0],
+                window_s=_float_arg(query, "window_s")))
+        elif parsed.path == "/dashboard":
+            self._send(200, self.app.dashboard().encode(),
+                       "text/html; charset=utf-8")
+        elif parsed.path == "/v1/models":
+            self._send_json(200, {"models": self.app.list_models()})
+        elif parsed.path == "/v1/jobs":
+            jobs = self._require_jobs()
+            self._send_json(200, {"jobs": [
+                _job_summary(record) for record in jobs.list()]})
+        elif parsed.path.startswith("/v1/jobs/"):
+            jobs = self._require_jobs()
+            record = self._lookup_job(jobs, parsed.path)
+            self._send_json(200, _job_payload(record))
+        else:
+            raise _HTTPError(404, f"no route {parsed.path}")
+
+    def _post(self, parsed) -> None:
+        if parsed.path == "/v1/predict":
+            self._predict(parse_qs(parsed.query))
+        elif parsed.path == "/v1/jobs":
+            self._submit_job()
+        else:
+            raise _HTTPError(404, f"no route {parsed.path}")
+
+    def _delete(self, parsed) -> None:
+        if not parsed.path.startswith("/v1/jobs/"):
+            raise _HTTPError(404, f"no route {parsed.path}")
+        jobs = self._require_jobs()
+        record = self._lookup_job(jobs, parsed.path)
+        record = jobs.cancel(record.id)
+        self._send_json(202, _job_payload(record))
 
     # -- job routes ----------------------------------------------------
     def _require_jobs(self) -> JobService:
@@ -558,13 +559,19 @@ class _Handler(BaseHTTPRequestHandler):
             app.inflight_dec()
 
 
-def _float_arg(query: dict, key: str) -> float | None:
-    if key not in query:
-        return None
+def _finite(value, key: str) -> float:
+    """``value`` as a finite float, or a 400 naming ``key``."""
     try:
-        return float(query[key][0])
-    except ValueError as error:
+        number = float(value)
+    except (TypeError, ValueError) as error:
         raise _HTTPError(400, f"{key} must be a number") from error
+    if not math.isfinite(number):
+        raise _HTTPError(400, f"{key} must be a finite number, got {number}")
+    return number
+
+
+def _float_arg(query: dict, key: str) -> float | None:
+    return _finite(query[key][0], key) if key in query else None
 
 
 def _job_summary(record) -> dict:
@@ -587,12 +594,7 @@ def _job_payload(record) -> dict:
 
 def _parse_predict_payload(body: bytes, as_json: bool,
                            query: dict) -> tuple[np.ndarray, float | None]:
-    deadline_ms: float | None = None
-    if "deadline_ms" in query:
-        try:
-            deadline_ms = float(query["deadline_ms"][0])
-        except ValueError as error:
-            raise _HTTPError(400, "deadline_ms must be a number") from error
+    deadline_ms = _float_arg(query, "deadline_ms")
     if as_json:
         try:
             payload = json.loads(body)
@@ -601,24 +603,23 @@ def _parse_predict_payload(body: bytes, as_json: bool,
         if not isinstance(payload, dict) or "acid" not in payload:
             raise _HTTPError(400, 'JSON body must be an object with an "acid" array')
         if deadline_ms is None and "deadline_ms" in payload:
-            try:
-                deadline_ms = float(payload["deadline_ms"])
-            except (TypeError, ValueError) as error:
-                raise _HTTPError(400, "deadline_ms must be a number") from error
+            deadline_ms = _finite(payload["deadline_ms"], "deadline_ms")
         try:
             acid = np.asarray(payload["acid"], dtype=np.float64)
         except (TypeError, ValueError) as error:
             raise _HTTPError(400, f'"acid" is not a numeric array: {error}') from error
         return acid, deadline_ms
     try:
-        with np.load(io.BytesIO(body)) as archive:
+        archive = np.load(io.BytesIO(body))
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise _HTTPError(400, "body is a bare .npy array, not an npz archive "
+                                  'holding an "acid" array')
+        with archive:
             if "acid" not in archive.files:
                 raise _HTTPError(400, 'npz payload must contain an "acid" array '
                                       f"(found {archive.files})")
             return np.asarray(archive["acid"], dtype=np.float64), deadline_ms
     except (zipfile.BadZipFile, ValueError, OSError) as error:
-        if isinstance(error, _HTTPError):
-            raise
         raise _HTTPError(400, f"body is not a readable npz archive: {error}") from error
 
 
@@ -755,7 +756,6 @@ class PredictServer:
             "queues": queues,
             "caches": self.cache_stats(),
             "plan_cache": plan_cache_stats(),
-            "shm": shm_stats(),
         }
         if pools:
             payload["pools"] = pools
@@ -836,9 +836,6 @@ class PredictServer:
         plans = plan_cache_stats()
         gauge("serve.plan.cached_plans").set(plans["plans"])
         gauge("serve.plan.arena_bytes").set(plans["arena_bytes"])
-        segments = shm_stats()
-        gauge("serve.shm.segments").set(segments["segment_count"])
-        gauge("serve.shm.bytes").set(segments["total_bytes"])
         workers = alive = restarts = 0
         for versions in self._models.values():
             for entry in versions.values():

@@ -46,7 +46,7 @@ class TestPoolDiscipline:
         def forbid(*args, **kwargs):
             raise AssertionError("workers=1 must not create a pool")
 
-        monkeypatch.setattr(pool_module.multiprocessing, "get_context", forbid)
+        monkeypatch.setattr(pool_module, "ForkedWorker", forbid)
         dataset = generate_dataset(2, TINY, time_step_s=1.0, cache_dir=None, workers=1)
         assert len(dataset) == 2
 

@@ -1,9 +1,9 @@
 """Executor: scheduling, checkpointed resume, SIGKILL fault injection.
 
-The kill tests follow tests/serve/test_fault_injection.py: the
-``step_delay_s`` knob makes the step child sleep before each step, and
-the parent-side ``busy`` flag + ``child_pid`` land the SIGKILL
-deterministically inside a chunk.
+The kill tests follow tests/serve/test_fault_injection.py: patching
+``CounterJob.step`` to sleep first (chunk workers forked afterwards
+inherit the patch) widens the kill window, and the parent-side ``busy``
+flag + ``child_pid`` land the SIGKILL deterministically inside a chunk.
 """
 
 import os
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.jobs import JobExecutor, JobExecutorConfig, JobStore
+from repro.jobs import executor as executor_module
 from repro.jobs.types import CounterJob
 
 
@@ -29,6 +30,18 @@ def wait_until(predicate, timeout_s: float = 15.0) -> bool:
 @pytest.fixture
 def store(tmp_path):
     return JobStore(tmp_path / "jobs")
+
+
+def slow_down_steps(monkeypatch, delay_s: float) -> None:
+    """Every CounterJob step sleeps ``delay_s`` first; chunk workers
+    forked while the patch is active inherit it."""
+    step = CounterJob.step
+
+    def slow_step(self, state):
+        time.sleep(delay_s)
+        return step(self, state)
+
+    monkeypatch.setattr(CounterJob, "step", slow_step)
 
 
 def make_executor(store, **overrides):
@@ -70,9 +83,10 @@ class TestHappyPath:
             executor.close()
         assert store.get(first.id).updated_s <= store.get(second.id).updated_s
 
-    def test_inline_mode_completes(self, store):
+    def test_inline_mode_completes(self, store, monkeypatch):
+        monkeypatch.setattr(executor_module, "fork_available", lambda: False)
         record = store.submit("counter", {"iterations": 5})
-        executor = make_executor(store, use_fork=False).start()
+        executor = make_executor(store).start()
         try:
             assert wait_until(
                 lambda: store.get(record.id).state == "completed")
@@ -117,10 +131,10 @@ class TestFailurePaths:
             executor.close()
         assert "failed at 2" in store.get(record.id).error
 
-    def test_crash_beyond_max_attempts_fails(self, store):
+    def test_crash_beyond_max_attempts_fails(self, store, monkeypatch):
+        slow_down_steps(monkeypatch, 0.2)
         record = store.submit("counter", {"iterations": 50})
-        executor = make_executor(store, step_delay_s=0.2,
-                                 max_attempts=2).start()
+        executor = make_executor(store, max_attempts=2).start()
         try:
             for _ in range(2):
                 assert wait_until(lambda: executor.busy and
@@ -134,10 +148,10 @@ class TestFailurePaths:
 
 
 class TestCancellation:
-    def test_cancel_running_job_at_chunk_boundary(self, store):
+    def test_cancel_running_job_at_chunk_boundary(self, store, monkeypatch):
+        slow_down_steps(monkeypatch, 0.05)
         record = store.submit("counter", {"iterations": 1000})
-        executor = make_executor(store, step_delay_s=0.05,
-                                 checkpoint_every=1).start()
+        executor = make_executor(store, checkpoint_every=1).start()
         try:
             assert wait_until(
                 lambda: store.get(record.id).state == "running")
@@ -159,15 +173,16 @@ class TestCancellation:
 
 
 class TestSigkillResume:
-    def test_killed_step_worker_resumes_from_checkpoint(self, store):
+    def test_killed_step_worker_resumes_from_checkpoint(self, store, monkeypatch):
         """Satellite 2: SIGKILL the step child mid-chunk — the job goes
         running → (requeued) → running → completed from the last
         checkpoint, never lost, and the final state is identical to an
         uninterrupted run (the checksum detects any lost or duplicated
         step)."""
+        slow_down_steps(monkeypatch, 0.15)
         record = store.submit("counter", {"iterations": 8})
-        executor = make_executor(store, step_delay_s=0.15,
-                                 checkpoint_every=2, max_attempts=5).start()
+        executor = make_executor(store, checkpoint_every=2,
+                                 max_attempts=5).start()
         try:
             assert wait_until(lambda: executor.busy and
                               executor.child_pid is not None)
@@ -183,7 +198,7 @@ class TestSigkillResume:
         assert final.result["checksum"] == reference_checksum(8)
         assert executor.stats()["crashes"] >= 1
 
-    def test_restart_resumes_with_bitwise_identical_state(self, store):
+    def test_restart_resumes_with_bitwise_identical_state(self, store, monkeypatch):
         """Acceptance pin: interrupt (drain-close mid-run), restart a
         fresh executor, and the completed checkpoint is bitwise-identical
         to an uninterrupted run's."""
@@ -199,10 +214,11 @@ class TestSigkillResume:
         expected = reference_store.load_checkpoint(reference.id)
 
         record = store.submit("counter", {"iterations": 9})
-        interrupted = make_executor(store, step_delay_s=0.1,
-                                    checkpoint_every=2).start()
-        assert wait_until(lambda: interrupted.busy)
-        interrupted.close(drain=True)   # mid-run shutdown, like SIGTERM
+        with monkeypatch.context() as patch:
+            slow_down_steps(patch, 0.1)
+            interrupted = make_executor(store, checkpoint_every=2).start()
+            assert wait_until(lambda: interrupted.busy)
+            interrupted.close(drain=True)   # mid-run shutdown, like SIGTERM
         parked = store.get(record.id)
         assert parked.state == "queued", "drain must requeue, not lose"
 
@@ -241,10 +257,10 @@ class TestSigkillResume:
 
 
 class TestDrainSemantics:
-    def test_close_without_drain_requeues_current_job(self, store):
+    def test_close_without_drain_requeues_current_job(self, store, monkeypatch):
+        slow_down_steps(monkeypatch, 0.1)
         record = store.submit("counter", {"iterations": 1000})
-        executor = make_executor(store, step_delay_s=0.1,
-                                 checkpoint_every=4).start()
+        executor = make_executor(store, checkpoint_every=4).start()
         assert wait_until(lambda: executor.busy)
         executor.close(drain=False)
         assert store.get(record.id).state == "queued"

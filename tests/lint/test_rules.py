@@ -24,6 +24,7 @@ CASES = [
     ("rep006_unitless_field.py", "src/repro/litho/fixture_config.py", "REP006", 16),
     ("rep101_unlocked_shared_write.py", "src/repro/serve/fixture.py", "REP101", 17),
     ("rep102_fork_under_lock.py", "src/repro/serve/fixture.py", "REP102", 12),
+    ("rep102_worker_under_lock.py", "src/repro/serve/fixture.py", "REP102", 12),
     ("rep103_blocking_under_lock.py", "src/repro/serve/fixture.py", "REP103", 18),
     ("rep104_check_then_act.py", "src/repro/serve/fixture.py", "REP104", 17),
     ("rep105_contextvar_leak.py", "src/repro/serve/fixture.py", "REP105", 9),

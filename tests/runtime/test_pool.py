@@ -1,20 +1,32 @@
 """Worker-count resolution, the process pool, and the propagator caches."""
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.config import GridConfig
 from repro.runtime import (
-    cached_lateral_propagator, cached_z_propagator, clear_propagator_caches,
-    fft_workers, parallel_map, propagator_cache_info, resolve_workers,
-    set_fft_workers,
+    WorkerDied, cached_lateral_propagator, cached_z_propagator,
+    clear_propagator_caches, fft_workers, fork_available, parallel_map,
+    propagator_cache_info, resolve_workers, set_fft_workers,
 )
 from repro.runtime import pool as pool_module
 
 
 def _double(x):
-    """Module-level so it pickles into pool workers."""
     return 2 * x
+
+
+def _kill_own_worker_at_3(x):
+    """Task 3 SIGKILLs the worker running it, as the OOM killer would."""
+    if x == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
 
 def _openblas_thread_counts(_=None):
@@ -73,22 +85,30 @@ class TestParallelMap:
         def forbid(*args, **kwargs):
             raise AssertionError("workers=1 must not create a pool")
 
-        monkeypatch.setattr(pool_module.multiprocessing, "get_context", forbid)
+        monkeypatch.setattr(pool_module, "ForkedWorker", forbid)
         assert parallel_map(_double, [1, 2, 3], workers=1) == [2, 4, 6]
 
     def test_single_item_never_spawns(self, monkeypatch):
         def forbid(*args, **kwargs):
             raise AssertionError("a single task must not create a pool")
 
-        monkeypatch.setattr(pool_module.multiprocessing, "get_context", forbid)
+        monkeypatch.setattr(pool_module, "ForkedWorker", forbid)
         assert parallel_map(_double, [21], workers=8) == [42]
 
     def test_fork_unavailable_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(pool_module, "fork_available", lambda: False)
         assert parallel_map(_double, [1, 2, 3], workers=4) == [2, 4, 6]
 
-    def test_workers_run_openblas_single_threaded(self):
-        """BLAS threads must not multiply with the pool's processes."""
+    def test_workers_run_openblas_single_threaded(self, monkeypatch, tmp_path):
+        """BLAS threads must not multiply with forked processes: pool
+        workers, job chunks and serving workers all run single-threaded."""
+        from repro import nn
+        from repro.experiments import build_method
+        from repro.jobs import JobExecutor, JobExecutorConfig, JobStore
+        from repro.jobs.types import CounterJob
+        from repro.serve import WorkerPool
+        from repro.serve import pool as serve_pool
+
         try:
             if not _openblas_thread_counts():
                 pytest.skip("numpy's BLAS is not OpenBLAS")
@@ -97,14 +117,69 @@ class TestParallelMap:
         per_worker = parallel_map(_openblas_thread_counts, [0, 1], workers=2)
         assert all(counts and set(counts) == {1} for counts in per_worker), per_worker
 
-    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        class BrokenContext:
-            def Pool(self, *args, **kwargs):
-                raise OSError("no processes in this sandbox")
+        finalize = CounterJob.finalize
 
-        monkeypatch.setattr(pool_module.multiprocessing, "get_context",
-                            lambda method: BrokenContext())
+        def finalize_with_counts(self, state):
+            result, state = finalize(self, state)
+            result["openblas_threads"] = _openblas_thread_counts()
+            return result, state
+
+        monkeypatch.setattr(CounterJob, "finalize", finalize_with_counts)
+        store = JobStore(tmp_path / "jobs")
+        record = store.submit("counter", {"iterations": 2})
+        executor = JobExecutor(store, JobExecutorConfig(poll_interval_s=0.02)).start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while store.get(record.id).state != "completed" \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            executor.close()
+        assert executor.stats()["fork"]
+        assert set(store.get(record.id).result["openblas_threads"]) == {1}
+
+        monkeypatch.setattr(serve_pool, "_forward", lambda *args: np.array(
+            _openblas_thread_counts()))
+        grid = GridConfig(size_um=0.8, nx=16, ny=16, nz=2)
+        nn.init.seed(0)
+        model, _ = build_method("DeepCNN", grid)
+        pool = WorkerPool(model, "sha256:" + "0" * 64, "tape", 1)
+        try:
+            counts = pool.forward(0, np.zeros((1,) + grid.shape))
+        finally:
+            pool.close()
+        assert counts.size and set(counts.tolist()) == {1}, counts
+
+    def test_pool_failure_falls_back_to_serial(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no processes in this sandbox")
+
+        monkeypatch.setattr(pool_module, "ForkedWorker", refuse)
         assert parallel_map(_double, [1, 2, 3], workers=4) == [2, 4, 6]
+
+    def test_killed_worker_raises_instead_of_hanging(self):
+        """A SIGKILLed worker fails the map with WorkerDied within
+        seconds, and no worker outlives the call."""
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        before = {child.pid for child in multiprocessing.active_children()}
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = parallel_map(_kill_own_worker_at_3, range(8),
+                                                 workers=2)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(10.0)
+        assert not thread.is_alive(), "parallel_map hung on a dead worker"
+        assert isinstance(outcome.get("error"), WorkerDied), outcome
+        leftover = [child for child in multiprocessing.active_children()
+                    if child.pid not in before]
+        assert leftover == []
 
 
 class TestFFTWorkers:

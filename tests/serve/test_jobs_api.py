@@ -29,6 +29,18 @@ def make_served(registry):
     return ServedModel(loaded, manifest, BatchPolicy(max_wait_ms=2.0))
 
 
+def slow_down_steps(monkeypatch, delay_s: float) -> None:
+    """Every CounterJob step sleeps ``delay_s`` first; chunk workers
+    forked while the patch is active inherit it."""
+    step = CounterJob.step
+
+    def slow_step(self, state):
+        time.sleep(delay_s)
+        return step(self, state)
+
+    monkeypatch.setattr(CounterJob, "step", slow_step)
+
+
 def make_server(registry, jobs_root, **executor_overrides):
     executor_overrides.setdefault("poll_interval_s", 0.02)
     jobs = JobService(jobs_root,
@@ -259,24 +271,25 @@ class TestJobTracing:
 
 class TestRestartResume:
     def test_shutdown_parks_job_and_restart_completes_it(
-            self, registry, tmp_path):
+            self, registry, tmp_path, monkeypatch):
         """Drain-shutdown mid-job parks it queued at its checkpoint; a
         fresh server generation on the same jobs dir resumes and the
         checksum proves no step was lost or repeated."""
         jobs_root = tmp_path / "jobs"
-        first = make_server(registry, jobs_root,
-                            step_delay_s=0.1, checkpoint_every=2)
-        try:
-            _, created = request_json(
-                first, "POST", "/v1/jobs",
-                {"type": "counter", "params": {"iterations": 10}})
-            deadline = time.monotonic() + 15.0
-            while (not first.jobs.executor.busy
-                   and time.monotonic() < deadline):
-                time.sleep(0.005)
-            assert first.jobs.executor.busy, "job never started"
-        finally:
-            first.shutdown()   # SIGTERM analogue: drain + park
+        with monkeypatch.context() as patch:
+            slow_down_steps(patch, 0.1)
+            first = make_server(registry, jobs_root, checkpoint_every=2)
+            try:
+                _, created = request_json(
+                    first, "POST", "/v1/jobs",
+                    {"type": "counter", "params": {"iterations": 10}})
+                deadline = time.monotonic() + 15.0
+                while (not first.jobs.executor.busy
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                assert first.jobs.executor.busy, "job never started"
+            finally:
+                first.shutdown()   # SIGTERM analogue: drain + park
         parked = first.jobs.store.get(created["id"])
         assert parked.state == "queued", "shutdown must requeue, not lose"
 

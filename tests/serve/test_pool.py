@@ -1,10 +1,21 @@
 """Unit coverage for the process-pool plumbing: worker-count resolution,
-shard routing determinism, pool stats shape, and closed-pool behavior.
-Heavier end-to-end pool behavior (crash, respawn, bitwise identity) lives
-in test_fault_injection.py and test_determinism.py.
+shard routing determinism, pool stats shape, read-only inherited
+weights, worker reaping (close, crash, SIGTERM and a SIGKILLed server)
+and closed-pool behavior.  Heavier end-to-end pool behavior (crash,
+respawn, bitwise identity) lives in test_fault_injection.py and
+test_determinism.py.
 """
 
 import hashlib
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from http.client import HTTPConnection
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +24,52 @@ from repro import nn
 from repro.config import GridConfig
 from repro.experiments import build_method
 from repro.serve import (
-    BatchPolicy, ServedModel, load_checkpoint, resolve_serve_workers,
-    save_checkpoint, shard_for,
+    BatchPolicy, ServedModel, ServeError, load_checkpoint,
+    resolve_serve_workers, save_checkpoint, shard_for,
 )
+from repro.serve import pool as pool_module
 from repro.serve.router import ShardRouter
 
 GRID = GridConfig(size_um=0.8, nx=16, ny=16, nz=2)
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def wait_until(predicate, timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+def _inspect_parameters(model, executor, batch, engine):
+    """Stand-in forward run inside a worker: the inherited parameters, and
+    for each whether an in-place write was refused."""
+    refused = []
+    for _, param in model.named_parameters():
+        try:
+            param.data[...] = 0.0
+        except ValueError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    return {"refused": refused,
+            "values": {name: param.data for name, param in model.named_parameters()}}
 
 
 class TestResolveServeWorkers:
@@ -112,6 +163,13 @@ def checkpoint(tmp_path_factory):
     return path
 
 
+def pooled(checkpoint, workers=2):
+    loaded, manifest = load_checkpoint(checkpoint)
+    return ServedModel(loaded, manifest,
+                       BatchPolicy(max_batch_size=1, max_wait_ms=0.0),
+                       workers=workers)
+
+
 class TestPooledServedModel:
     def test_stats_shape_and_worker_identity(self, checkpoint):
         loaded, manifest = load_checkpoint(checkpoint)
@@ -143,33 +201,37 @@ class TestPooledServedModel:
         finally:
             served.close()
 
-    def test_unbuildable_manifest_fails_spawn_loudly(self):
-        """A manifest that cannot rebuild the served model must fail the
-        ServedModel constructor (ready handshake), not leave workers
-        crash-looping — and must not leak the published shm segment."""
-        from dataclasses import asdict
+    def test_worker_setup_failure_fails_spawn_loudly(self, checkpoint,
+                                                     monkeypatch):
+        """A worker whose setup raises must fail the ServedModel
+        constructor with that error (ready handshake), not leave workers
+        crash-looping — and must leave no worker process behind."""
+        def broken_setup(*args):
+            raise ServeError("worker setup exploded")
 
-        from repro.serve import ServeError, live_segments, segment_name
-        from repro.serve.registry import ModelManifest
+        monkeypatch.setattr(pool_module, "_serve_batches", broken_setup)
+        before = {child.pid for child in multiprocessing.active_children()}
+        with pytest.raises(ServeError, match="setup exploded"):
+            pooled(checkpoint)
+        assert [child for child in multiprocessing.active_children()
+                if child.pid not in before] == []
 
-        class Oddball(nn.Module):
-            def __init__(self):
-                super().__init__()
-                self.scale = nn.Parameter(np.ones((1,), dtype=np.float64))
-
-            def forward(self, x):
-                return x * self.scale
-
-        manifest = ModelManifest(
-            name="oddball", version=1, model_class="DeepCNN",
-            grid=asdict(GRID), dtype="float64", param_count=1,
-            content_hash="sha256:" + "0d" * 32, output_mean=0.0,
-            output_std=1.0, created_unix_s=0.0)
-        with pytest.raises(ServeError):
-            ServedModel(Oddball(), manifest,
-                        BatchPolicy(max_batch_size=1, max_wait_ms=0.0),
-                        workers=2)
-        assert segment_name(manifest.content_hash) not in live_segments()
+    def test_worker_parameters_are_readonly_and_exact(self, checkpoint,
+                                                      monkeypatch):
+        """Workers serve the parent's float64 weights through the fork,
+        and an in-place parameter write inside a worker fails loudly."""
+        monkeypatch.setattr(pool_module, "_forward", _inspect_parameters)
+        served = pooled(checkpoint)
+        try:
+            report = served.pool.forward(0, np.zeros((1,) + GRID.shape))
+        finally:
+            served.close()
+        assert report["refused"] and all(report["refused"])
+        params = dict(served.model.named_parameters())
+        assert report["values"].keys() == params.keys()
+        for name, value in report["values"].items():
+            assert value.dtype == np.float64
+            assert np.array_equal(value, params[name].data), name
 
     def test_closed_pool_rejects_forward(self, checkpoint):
         loaded, manifest = load_checkpoint(checkpoint)
@@ -181,3 +243,93 @@ class TestPooledServedModel:
         clip = np.random.default_rng(2).random(GRID.shape)
         with pytest.raises(Exception):
             pool.forward(0, clip[None])
+
+
+class TestPoolLifecycle:
+    def test_normal_drain_reaps_workers(self, checkpoint):
+        served = pooled(checkpoint)
+        pids = [w["pid"] for w in served.pool.stats()["per_worker"]]
+        assert all(running(pid) for pid in pids)
+        served.close(drain=True)
+        assert not any(running(pid) for pid in pids)
+
+    def test_worker_crash_then_close_reaps_every_worker(self, checkpoint):
+        """SIGKILLed workers are respawned, and close still reaps every
+        replacement."""
+        served = pooled(checkpoint)
+        try:
+            for handle in served.pool._workers:
+                os.kill(handle.process.pid, signal.SIGKILL)
+            assert wait_until(
+                lambda: (lambda s: s["alive"] == s["workers"]
+                         and s["restarts"] >= 2)(served.pool.stats()),
+                timeout_s=10.0), served.pool.stats()
+            pids = [w["pid"] for w in served.pool.stats()["per_worker"]]
+        finally:
+            served.close()
+        assert not any(running(pid) for pid in pids)
+
+
+class TestServeProcessSignals:
+    """``repro serve --serve-workers 2`` as a subprocess: SIGTERM drains
+    and exits cleanly, and a SIGKILLed server takes its workers down."""
+
+    def start_server(self, checkpoint):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env["PYTHONUNBUFFERED"] = "1"
+        env.pop("REPRO_SERVE_WORKERS", None)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--ckpt", str(checkpoint),
+             "--port", "0", "--serve-workers", "2", "--no-jobs"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            cwd=Path(__file__).resolve().parents[2], env=env)
+        output = []
+        for line in process.stdout:
+            output.append(line)
+            if line.startswith("listening on http://"):
+                port = int(line.split()[2].rsplit(":", 1)[1])
+                break
+        else:
+            process.wait(10.0)
+            pytest.fail("server died early:\n" + "".join(output))
+        connection = HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            connection.request("GET", "/healthz")
+            health = json.loads(connection.getresponse().read())
+        finally:
+            connection.close()
+        (pool,) = health["pools"].values()
+        pids = [w["pid"] for w in pool["per_worker"]]
+        assert len(pids) == 2 and all(running(pid) for pid in pids)
+        return process, pids
+
+    def test_sigterm_drains_and_reaps_workers(self, checkpoint):
+        process, pids = self.start_server(checkpoint)
+        try:
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60.0) == 0
+            assert not any(running(pid) for pid in pids)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(10.0)
+
+    def test_sigkilled_server_takes_its_workers_down(self, checkpoint):
+        """Each worker closed every copy of its parent's pipe end, so the
+        dead server's pipes read EOF in the workers, which exit."""
+        process, pids = self.start_server(checkpoint)
+        try:
+            process.kill()
+            process.wait(10.0)
+            assert wait_until(lambda: not any(running(pid) for pid in pids),
+                              timeout_s=5.0), \
+                f"orphaned workers still running: {[p for p in pids if running(p)]}"
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(10.0)
+            for pid in pids:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)

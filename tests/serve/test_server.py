@@ -45,6 +45,13 @@ def conn(server):
     connection.close()
 
 
+def npy_bytes(array) -> bytes:
+    """A bare ``np.save`` body: an ``.npy``, not the ``.npz`` the route wants."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 def post_npz(connection, acid, query=""):
     buffer = io.BytesIO()
     np.savez(buffer, acid=acid)
@@ -122,17 +129,24 @@ class TestPredict:
                      headers={"Content-Type": "application/json"})
         assert conn.getresponse().status == 404
 
-    @pytest.mark.parametrize("deadline, headers, needle", [
-        ("soon", {}, "deadline_ms"),
-        ([1], {}, "deadline_ms"),
-        (None, {"Content-Length": "twelve"}, "Content-Length"),
-    ], ids=["deadline-string", "deadline-list", "content-length-not-int"])
-    def test_malformed_request_400_and_server_keeps_serving(self, server, conn,
-                                                           deadline, headers, needle):
-        payload = {"acid": np.zeros(GRID.shape).tolist()}
-        if deadline is not None:
-            payload["deadline_ms"] = deadline
-        conn.request("POST", "/v1/predict", body=json.dumps(payload),
+    @pytest.mark.parametrize("query, deadline, body, headers, needle", [
+        ("", "soon", None, {}, "deadline_ms"),
+        ("", [1], None, {}, "deadline_ms"),
+        ("", None, None, {"Content-Length": "twelve"}, "Content-Length"),
+        ("", float("nan"), None, {}, "deadline_ms"),
+        ("?deadline_ms=inf", None, None, {}, "deadline_ms"),
+        ("", None, npy_bytes(np.zeros(GRID.shape)),
+         {"Content-Type": "application/octet-stream"}, "npz"),
+    ], ids=["deadline-string", "deadline-list", "content-length-not-int",
+            "deadline-nan", "deadline-query-inf", "npy-not-npz"])
+    def test_malformed_request_400_and_server_keeps_serving(
+            self, server, conn, query, deadline, body, headers, needle):
+        if body is None:
+            payload = {"acid": np.zeros(GRID.shape).tolist()}
+            if deadline is not None:
+                payload["deadline_ms"] = deadline
+            body = json.dumps(payload)
+        conn.request("POST", "/v1/predict" + query, body=body,
                      headers={"Content-Type": "application/json", **headers})
         response = conn.getresponse()
         assert response.status == 400
@@ -140,6 +154,30 @@ class TestPredict:
         fresh = HTTPConnection(*server[0].address, timeout=30)
         try:
             assert post_npz(fresh, np.random.default_rng(5).random(GRID.shape)).status == 200
+        finally:
+            fresh.close()
+
+
+    def test_route_exception_is_500_json_and_server_keeps_serving(
+            self, server, monkeypatch):
+        instance, _ = server
+
+        def broken_listing():
+            raise RuntimeError("listing exploded")
+
+        monkeypatch.setattr(instance, "list_models", broken_listing)
+        connection = HTTPConnection(*instance.address, timeout=30)
+        try:
+            connection.request("GET", "/v1/models")
+            response = connection.getresponse()
+            assert response.status == 500
+            assert response.getheader("Connection") == "close"
+            assert "listing exploded" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        fresh = HTTPConnection(*instance.address, timeout=30)
+        try:
+            assert post_npz(fresh, np.random.default_rng(6).random(GRID.shape)).status == 200
         finally:
             fresh.close()
 

@@ -92,9 +92,10 @@ class TestTelemetryRoute:
                    for name in payload["series"])
 
     def test_window_arg_validated(self, server):
-        status, payload = get(server, "/v1/telemetry?window_s=bogus")
-        assert status == 400
-        assert "window_s" in payload["error"]
+        for bad in ("bogus", "nan", "inf", "-inf"):
+            status, payload = get(server, f"/v1/telemetry?window_s={bad}")
+            assert status == 400, bad
+            assert "window_s" in payload["error"]
 
     def test_process_gauges_sampled(self, server):
         server.sampler.sample_once()
@@ -134,7 +135,6 @@ class TestHealthz:
         assert process["rss_bytes"] > 0
         assert process["open_fds"] > 0
         assert process["uptime_s"] >= 0
-        assert "shm_segments" in process
         assert health["telemetry"]["samples"] >= 1
         assert health["flight"]["installed"]
 
@@ -151,7 +151,6 @@ class TestHealthz:
         assert "# TYPE repro_process_rss_bytes gauge" in text
         assert "# TYPE repro_process_open_fds gauge" in text
         assert "# TYPE repro_process_uptime_s gauge" in text
-        assert "# TYPE repro_process_shm_segments gauge" in text
 
 
 class TestFlightIntegration:
