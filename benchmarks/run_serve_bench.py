@@ -225,7 +225,9 @@ def bench_serving(smoke: bool, engine: str | None = None) -> dict:
 
 def bench_worker_scaling(smoke: bool) -> dict:
     """The ``serving.worker_scaling`` subsection: the same closed-loop
-    fleet driven against process pools of 1/2/4/8 batcher workers.
+    fleet driven against 1 (in-process), 2, 4 and 8 serving workers;
+    the model's one batcher runs one lane per worker, and each lane
+    hands its batch to a free forked worker.
 
     Distinct payloads with the response cache off force every request
     through a worker forward, so throughput measures the pool, not

@@ -541,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "REPRO_INFER_PLAN env, else tape)")
     p.add_argument("--serve-workers", type=int, default=None, metavar="N",
                    help="forked prediction worker processes serving the "
-                        "parent's model read-only; requests shard by "
-                        "content hash (default: REPRO_SERVE_WORKERS env, "
+                        "parent's model read-only; each batch goes to a "
+                        "free worker (default: REPRO_SERVE_WORKERS env, "
                         "else 1 = in-process)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")

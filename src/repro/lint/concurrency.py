@@ -1,7 +1,7 @@
 """REP100-series concurrency-safety rules.
 
 The serving stack spans four execution lanes — HTTP handler threads,
-the ``MicroBatcher`` worker, the ``ShadowAuditor`` daemon and forked
+the ``MicroBatcher`` lanes, the ``ShadowAuditor`` daemon and forked
 ``runtime.pool`` workers — plus ``atexit``/signal handlers.  State that
 crosses a lane boundary must be owned by a lock (or be immutable), and
 lane hand-offs must be explicit.  These rules encode that policy
@@ -18,7 +18,8 @@ cached on the :class:`~repro.lint.core.LintFile`:
 * the **shared-state inventory** (:func:`concurrency_model`) — per
   class (and per module), which attributes/globals are lock protected
   where, which names hold locks/conditions, and which hold daemon
-  threads.
+  threads (alone, or in a list/tuple display or list comprehension,
+  joined by a ``for t in X: t.join(...)`` loop).
 
 Rules (see ``docs/static_analysis.md`` for the catalog with examples):
 
@@ -223,9 +224,26 @@ def _lock_kind(value: ast.AST) -> str | None:
 
 
 def _is_daemon_thread(value: ast.AST) -> bool:
+    """A daemon ``Thread(...)``, or a list/tuple display or list
+    comprehension holding one."""
+    if isinstance(value, (ast.List, ast.Tuple)):
+        return any(_is_daemon_thread(element) for element in value.elts)
+    if isinstance(value, ast.ListComp):
+        return _is_daemon_thread(value.elt)
     if not (isinstance(value, ast.Call) and _call_tail(value) == "Thread"):
         return False
     return _thread_target(value)[1]
+
+
+def _loop_joined(loop: ast.For) -> str:
+    """``X`` for ``for t in X: ... t.join(...)``, else ``""``."""
+    if not isinstance(loop.target, ast.Name):
+        return ""
+    join = f"{loop.target.id}.join"
+    for node in ast.walk(loop):
+        if isinstance(node, ast.Call) and _dotted(node.func) == join:
+            return _dotted(loop.iter)
+    return ""
 
 
 class _AccessCollector(ast.NodeVisitor):
@@ -341,6 +359,10 @@ def _collect_class(cls: ast.ClassDef, module: ModuleModel) -> ClassModel:
                 middle = dotted[len("self."):-len(".join")]
                 if middle and "." not in middle:
                     model.joined_attrs.add(middle)
+        elif isinstance(node, ast.For):
+            joined = _loop_joined(node)
+            if joined.startswith("self.") and "." not in joined[len("self."):]:
+                model.joined_attrs.add(joined[len("self."):])
     return model
 
 
@@ -371,6 +393,8 @@ def concurrency_model(file: LintFile) -> ModuleModel:
             dotted = _dotted(node.func)
             if dotted.endswith(".join") and "." in dotted:
                 module.joined_names.add(dotted.rsplit(".", 1)[0])
+        elif isinstance(node, ast.For) and _loop_joined(node):
+            module.joined_names.add(_loop_joined(node))
     for node in file.tree.body:
         if isinstance(node, ast.ClassDef):
             module.classes[node.name] = _collect_class(node, module)

@@ -3,7 +3,7 @@
 Every process this package forks goes through :class:`ForkedWorker`:
 the rigorous-solver workers behind :func:`repro.runtime.parallel_map`,
 the job executor's disposable per-chunk process and the serving pool's
-per-shard workers.  What they share lives here, once:
+workers.  What they share lives here, once:
 
 * **fork** — :func:`repro.runtime.sync.check_fork_safety` first, then
   the ``fork`` start method, so the child inherits the parent's

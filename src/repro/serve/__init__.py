@@ -11,7 +11,8 @@ subsystem is stdlib + numpy only:
 * :mod:`repro.serve.batcher` — a bounded queue coalescing concurrent
   single-clip requests into batched forward passes under a
   max-batch/max-wait policy, with deadlines, backpressure and an LRU
-  response cache;
+  response cache; one per served model, with one lane thread per
+  worker;
 * :mod:`repro.serve.server` — ``POST /v1/predict``, ``GET /v1/models``,
   ``GET /healthz`` and ``GET /metrics`` on a threading HTTP server with
   graceful draining shutdown;
@@ -19,12 +20,12 @@ subsystem is stdlib + numpy only:
   long-running checkpointed work (gradient-based OPC/ILT) submitted
   over HTTP, surviving worker crashes and server restarts
   (``--jobs-dir``; see ``docs/jobs.md``);
-* :mod:`repro.serve.pool` / :mod:`repro.serve.router` — the
-  multi-process backend: N forked workers (:mod:`repro.runtime.worker`)
-  each owning a core and its own plan cache and serving the parent's
-  model, read-only, through the fork, and a content-hash shard router
-  keeping the per-shard response caches coherent (``--serve-workers`` /
-  ``REPRO_SERVE_WORKERS``).
+* :mod:`repro.serve.pool` — the batch forward, run in-process at one
+  worker, and the multi-process backend: N forked workers
+  (:mod:`repro.runtime.worker`) each owning a core and its own plan
+  cache and serving the parent's model, read-only, through the fork;
+  each batcher lane hands its batch to a free worker
+  (``--serve-workers`` / ``REPRO_SERVE_WORKERS``).
 
 Entry point: ``python -m repro.cli serve --ckpt model.npz``; load-test
 with ``benchmarks/run_serve_bench.py``.  See ``docs/serving.md``.
@@ -44,7 +45,6 @@ from .registry import (
     import_legacy_sidecar, load_checkpoint, manifest_path_for, read_manifest,
     save_checkpoint, verify_checkpoint,
 )
-from .router import ShardRouter, shard_for
 from .server import (
     DEFAULT_LATENCY_BUCKETS, PredictServer, ServeConfig, ServedModel,
     escape_label_value, render_prometheus,
@@ -61,5 +61,4 @@ __all__ = [
     "PredictServer", "ServeConfig", "ServedModel", "render_prometheus",
     "escape_label_value", "DEFAULT_LATENCY_BUCKETS", "JobService",
     "WorkerPool", "WorkerCrashedError", "resolve_serve_workers",
-    "ShardRouter", "shard_for",
 ]

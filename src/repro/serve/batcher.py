@@ -3,9 +3,12 @@
 Single-clip requests arrive concurrently from HTTP handler threads; the
 model amortizes much better over a batched forward.  The
 :class:`MicroBatcher` sits between the two: callers block in
-:meth:`submit` while one worker thread coalesces queued requests into
-batches under a (max batch size, max wait) policy and runs the model
-once per batch.
+:meth:`submit` while lane threads coalesce queued requests into batches
+under a (max batch size, max wait) policy and run the model once per
+batch.  A served model has one batcher whatever its worker count: one
+queue, one response cache, and one lane per worker, each lane taking
+the next batch off the shared queue (one lane runs the forward
+in-process; N lanes each hand their batch to a free forked worker).
 
 Invariants the tests pin down:
 
@@ -17,7 +20,7 @@ Invariants the tests pin down:
   queue raises :class:`QueueFullError` immediately instead of growing
   the queue (the HTTP layer maps this to 503);
 * **deadlines** — each request carries a deadline measured from
-  enqueue; the worker drops expired requests with
+  enqueue; a lane drops expired requests with
   :class:`DeadlineExceededError` (504) without wasting a forward pass
   on them;
 * **caching** — an LRU response cache keyed by the input's content hash
@@ -30,7 +33,7 @@ batch-size histogram, cache hit/miss/rejection counters, and a
 ``serve.batch`` span around every model call.  Request identity crosses
 the thread hop explicitly: :meth:`MicroBatcher.submit` captures the
 caller's :class:`~repro.obs.TraceContext` (HTTP handler thread) on
-enqueue and the worker re-activates the first coalesced request's
+enqueue and the lane re-activates the first coalesced request's
 context around the batch, so ``serve.batch`` (and everything under it,
 including the model forward) attaches to that request's span tree; the
 other coalesced request ids ride along in the span's ``request_ids``
@@ -89,11 +92,11 @@ def content_hash(array: np.ndarray) -> str:
 class BatchPolicy:
     """Knobs governing coalescing, queueing and caching."""
 
-    #: largest forward-pass batch the worker will assemble
+    #: largest forward-pass batch a lane will assemble
     max_batch_size: int = 8
-    #: how long the worker holds an open batch for stragglers
+    #: how long a lane holds an open batch for stragglers
     max_wait_ms: float = 5.0
-    #: bound on queued (not yet running) requests; 0 disables queuing
+    #: bound on queued (not yet running) requests; at least 1
     max_queue: int = 64
     #: per-request time from enqueue to batch start before it is dropped
     default_deadline_ms: float = 30_000.0
@@ -162,7 +165,7 @@ class _Request:
         self.event = threading.Event()
         self.result: np.ndarray | None = None
         self.error: Exception | None = None
-        # the submitting thread's trace identity, restored by the worker
+        # the submitting thread's trace identity, restored by the lane
         self.ctx = capture_context()
 
     @property
@@ -180,10 +183,13 @@ class MicroBatcher:
     """Coalesces concurrent single-input requests into batched calls.
 
     ``predict_fn`` maps a stacked ``(B, ...)`` array to a ``(B, ...)``
-    output array; it runs only on the single worker thread, so the
-    wrapped model needs no internal locking.
+    output array.  ``lanes`` threads take batches off the one queue and
+    call it; with the default single lane the wrapped model needs no
+    internal locking, and with more ``predict_fn`` must accept
+    concurrent calls (the serving pool's ``forward`` hands each one to
+    a free worker process).
 
-    ``observer``, when given, is called on the worker thread after each
+    ``observer``, when given, is called on the lane thread after each
     successful batch as ``observer(stacked, outputs, request_ids, ctxs)``
     — the hook the physics health monitor hangs off.  It must be
     observation-only; any exception it raises is swallowed and counted
@@ -192,12 +198,15 @@ class MicroBatcher:
     ``clock``, when given, replaces ``time.monotonic`` for every
     deadline and coalescing-window decision (enqueue stamps, expiry,
     ``max_wait_ms`` holds).  Tests inject a fake clock and drive time
-    explicitly — pair an advance with :meth:`kick` so the worker
-    re-reads the clock — instead of racing real sleeps.
+    explicitly — pair an advance with :meth:`kick` so the lanes re-read
+    the clock — instead of racing real sleeps.
     """
 
     def __init__(self, predict_fn, policy: BatchPolicy | None = None,
-                 name: str = "default", observer=None, clock=None):
+                 name: str = "default", observer=None, clock=None,
+                 lanes: int = 1):
+        if lanes < 1:
+            raise ValueError(f"a batcher needs >= 1 lanes, got {lanes}")
         self.policy = policy if policy is not None else BatchPolicy()
         self.policy.validate()
         self.name = name
@@ -214,18 +223,17 @@ class MicroBatcher:
         self._drain_on_close = True
         self._batches_run = 0
         self._requests_done = 0
-        self._worker = threading.Thread(target=self._run, daemon=True,
-                                        name=f"repro-serve-batcher-{name}")
-        self._worker.start()
+        self._lanes = [
+            threading.Thread(target=self._run, daemon=True,
+                             name=f"repro-serve-batcher-{name}-{index}")
+            for index in range(lanes)]
+        for lane in self._lanes:
+            lane.start()
 
     # -- client side ---------------------------------------------------
     def submit(self, input_array: np.ndarray, deadline_ms: float | None = None,
-               timeout_s: float | None = None, key: str | None = None) -> np.ndarray:
+               timeout_s: float | None = None) -> np.ndarray:
         """Block until ``input_array``'s prediction is available.
-
-        ``key`` lets a caller that already computed the input's
-        :func:`content_hash` (the shard router hashes to route) pass it
-        down instead of paying the digest twice.
 
         Raises :class:`QueueFullError` on backpressure,
         :class:`DeadlineExceededError` when the request expires in the
@@ -233,8 +241,7 @@ class MicroBatcher:
         """
         input_array = np.asarray(input_array)
         counter("serve.requests").inc()
-        if key is None:
-            key = content_hash(input_array)
+        key = content_hash(input_array)
         cached = self._cache.get(key)
         if cached is not None:
             counter("serve.cache.hits").inc()
@@ -268,7 +275,7 @@ class MicroBatcher:
             raise request.error
         return request.result
 
-    # -- worker side ---------------------------------------------------
+    # -- lane side -----------------------------------------------------
     def _gather(self) -> list[_Request]:
         """Block for the first request, then hold the batch open briefly."""
         with self._work_ready:
@@ -292,6 +299,10 @@ class MicroBatcher:
                 if remaining <= 0 or self._closed:
                     break
                 self._work_ready.wait(remaining)
+            if self._queue:
+                # what this batch left behind may be another lane's
+                # wake-up, consumed by this lane's hold
+                self._work_ready.notify()
             return batch
 
     def _run(self) -> None:
@@ -300,7 +311,7 @@ class MicroBatcher:
         except BaseException as exc:
             # an exception escaping the loop itself (not a per-batch
             # failure, which _run_loop forwards to callers) kills this
-            # batcher's lane: snapshot the black box before dying
+            # lane: snapshot the black box before dying
             record_lane_crash("batcher", exc)
             raise
 
@@ -309,7 +320,7 @@ class MicroBatcher:
             batch = self._gather()
             if not batch:
                 # _gather only comes back empty once closed with an
-                # empty queue (drained or discarded) — worker exits.
+                # empty queue (drained or discarded) — the lane exits.
                 break
             now = self._clock()
             live: list[_Request] = []
@@ -364,7 +375,7 @@ class MicroBatcher:
 
     # -- lifecycle / introspection ------------------------------------
     def kick(self) -> None:
-        """Wake the worker so it re-reads the clock.
+        """Wake every lane so it re-reads the clock.
 
         A real monotonic clock makes timed condition waits expire on
         their own; an injected fake clock does not, so tests advance the
@@ -375,7 +386,7 @@ class MicroBatcher:
             self._work_ready.notify_all()
 
     def close(self, drain: bool = True, timeout_s: float = 30.0) -> None:
-        """Stop the worker; ``drain`` finishes queued work first."""
+        """Stop every lane; ``drain`` finishes queued work first."""
         with self._work_ready:
             if self._closed:
                 return
@@ -386,7 +397,9 @@ class MicroBatcher:
                     self._queue.popleft().finish(
                         error=BatcherClosedError(f"batcher {self.name!r} shut down"))
             self._work_ready.notify_all()
-        self._worker.join(timeout_s)
+        deadline = time.monotonic() + timeout_s
+        for lane in self._lanes:
+            lane.join(max(0.0, deadline - time.monotonic()))
 
     @property
     def closed(self) -> bool:
@@ -395,12 +408,6 @@ class MicroBatcher:
     def queue_depth(self) -> int:
         with self._lock:
             return len(self._queue)
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of submits answered from the response cache."""
-        with self._lock:
-            total = self._cache_hits + self._cache_misses
-            return self._cache_hits / total if total else 0.0
 
     def response_cache_stats(self) -> dict:
         """Size/hit-rate/evictions of the LRU response cache."""
@@ -420,6 +427,7 @@ class MicroBatcher:
         with self._lock:
             cache_hits, cache_misses = self._cache_hits, self._cache_misses
             batches_run, requests_done = self._batches_run, self._requests_done
+        lookups = cache_hits + cache_misses
         return {
             "queue_depth": self.queue_depth(),
             "batches_run": batches_run,
@@ -427,7 +435,7 @@ class MicroBatcher:
             "cache_entries": len(self._cache),
             "cache_hits": cache_hits,
             "cache_misses": cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate(), 6),
+            "cache_hit_rate": round(cache_hits / lookups, 6) if lookups else 0.0,
             "cache_evictions": self._cache.evictions,
             "closed": self._closed,
             "policy": {

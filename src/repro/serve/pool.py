@@ -1,15 +1,19 @@
-"""Forked worker processes for the multi-process serving backend.
+"""The batch forward, and the forked workers that run it at N > 1.
 
-The single-process server serializes every forward on one core because
-of the GIL.  The :class:`WorkerPool` escapes it: N
-:class:`~repro.runtime.worker.ForkedWorker`\\ s, one per shard, each
+:func:`make_forward` runs one batch through the model and engine: at
+one worker the batcher's lane calls it in-process, at N it is every
+forked worker's handler.  The single-process server serializes every
+forward on one core because of the GIL.  The :class:`WorkerPool`
+escapes it: N :class:`~repro.runtime.worker.ForkedWorker`\\ s, each
 owning one core and its own compiled-plan cache.  A worker serves the
 model it inherits through the fork — the parent's copy, already cast to
 float64 and carrying its output stats — with the parameter arrays
 marked read-only in the child, so an accidental in-place write fails
 loudly instead of silently diverging one worker.  The parent keeps the
-queues (the per-shard :class:`~repro.serve.batcher.MicroBatcher`\\ s)
-and ships each coalesced batch to its shard's worker.
+model's one :class:`~repro.serve.batcher.MicroBatcher` with one lane
+per worker, and :meth:`WorkerPool.forward` hands each lane's batch to
+a worker that is idle and not disabled, the way
+:func:`~repro.runtime.parallel_map` hands tasks to free workers.
 
 Lifecycle, in this module (the fork, the ready handshake, crash
 detection, trace hand-off and reaping are the primitive's):
@@ -26,7 +30,9 @@ detection, trace hand-off and reaping are the primitive's):
 * **respawn** — the fork happens with no instrumented lock held (the
   sanitizer's fork hook would rightly object otherwise); restart counts
   feed ``/healthz``, and :data:`MAX_SPAWN_FAILURES` consecutive failed
-  respawns disable the shard instead of forking forever;
+  respawns disable the worker instead of forking forever.  A disabled
+  worker gets no batches; only when every worker is disabled does
+  ``forward`` fail;
 * **drain** — ``close`` stops the monitor and closes every worker
   (stop message, join, escalation to ``terminate``).
 
@@ -46,14 +52,15 @@ import numpy as np
 
 from repro.obs import counter, current_recorder, record_lane_crash, span
 from repro.runtime.pool import resolve_worker_count
-from repro.runtime.sync import make_lock
+from repro.runtime.sync import make_condition
 from repro.runtime.worker import ForkedWorker, WorkerDied, fork_available
 from repro.tensor import Tensor, no_grad
 
 from .batcher import ServeError
 from .engine import PlanExecutor
 
-__all__ = ["WorkerCrashedError", "WorkerPool", "resolve_serve_workers"]
+__all__ = ["WorkerCrashedError", "WorkerPool", "make_forward",
+           "resolve_serve_workers"]
 
 #: monitor-thread poll period for liveness and idle heartbeats
 HEARTBEAT_INTERVAL_S = 0.25
@@ -63,7 +70,7 @@ FORWARD_TIMEOUT_S = 60.0
 #: how long ``close(drain=True)`` waits for a worker to exit before
 #: escalating to ``terminate``
 DRAIN_TIMEOUT_S = 10.0
-#: consecutive failed respawns before a shard is disabled instead of
+#: consecutive failed respawns before a worker is disabled instead of
 #: respawned in a tight loop; surfaces as ``alive < workers`` on
 #: ``/healthz``
 MAX_SPAWN_FAILURES = 3
@@ -89,11 +96,16 @@ def resolve_serve_workers(workers: int | None = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker process
+# The batch forward
 # ----------------------------------------------------------------------
 def _forward(model, executor, batch: np.ndarray, engine: str) -> np.ndarray:
-    """One batch through the worker's model (module level, so a test can
-    slow it down before the fork to widen the kill window)."""
+    """One batch through the model and engine (module level, so a test
+    can slow it down before the fork to widen the kill window)."""
+    # validate_input casts each clip to float64 and np.stack keeps it,
+    # so the batch needs no per-request conversion
+    if batch.dtype != np.float64:
+        raise ServeError(f"batch reached the forward path as {batch.dtype}; "
+                         "inputs must be cast to float64 at validation")
     with span("serve.forward", size=len(batch), engine=engine,
               worker_pid=os.getpid()):
         output = executor.run(batch) if executor is not None else None
@@ -103,41 +115,48 @@ def _forward(model, executor, batch: np.ndarray, engine: str) -> np.ndarray:
     return np.asarray(output)
 
 
+def make_forward(model, content_hash: str, engine: str, label: str):
+    """The batch forward over ``model``, with its plan executor when
+    ``engine`` is ``"plan"``."""
+    executor = PlanExecutor(model, content_hash, label=label) \
+        if engine == "plan" else None
+
+    def forward(batch: np.ndarray) -> np.ndarray:
+        return _forward(model, executor, batch, engine)
+    return forward
+
+
 def _serve_batches(model, content_hash: str, engine: str, label: str):
     """Worker setup: freeze the inherited parameters, return the handler."""
     for _, param in model.named_parameters():
         param.data.setflags(write=False)
-    executor = PlanExecutor(model, content_hash, label=label) \
-        if engine == "plan" else None
+    forward = make_forward(model, content_hash, engine, label)
 
     def handle(batch):
-        if batch is None:
-            return None  # heartbeat
-        return _forward(model, executor, batch, engine)
+        return None if batch is None else forward(batch)  # None: heartbeat
     return handle
 
 
 class _WorkerHandle:
-    """Parent-side state for one shard's worker (stable across respawns)."""
+    """Parent-side state for one worker (stable across respawns)."""
 
-    def __init__(self, shard: int, name: str):
-        self.shard = shard
-        # serializes calls per worker; ordering: handle.lock may be
-        # taken before the pool stats lock, never the reverse
-        self.lock = make_lock(f"serve.pool.{name}.w{shard}")
+    def __init__(self, index: int):
+        self.index = index
         self.process: ForkedWorker | None = None
+        #: claimed by a ``forward`` or by the monitor's heartbeat or
+        #: respawn; nothing else touches the worker meanwhile
+        self.in_use = False
         self.restarts = 0
         self.batches_done = 0
         self.last_heartbeat_s: float | None = None
-        self.respawning = False
         self.spawn_failures = 0
         #: set after MAX_SPAWN_FAILURES consecutive failed respawns; a
-        #: disabled shard is never forked again (no respawn storms)
+        #: disabled worker gets no batches and is never forked again
         self.disabled = False
 
     @property
     def busy(self) -> bool:
-        """A batch is in flight: the fault-injection tests' kill window."""
+        """A call is in flight: the fault-injection tests' kill window."""
         return self.process is not None and self.process.busy
 
     def alive(self) -> bool:
@@ -145,7 +164,8 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """N forked serving workers, one per shard, with crash respawn."""
+    """N forked serving workers, each batch to a free one, with crash
+    respawn."""
 
     def __init__(self, model, content_hash: str, engine: str, workers: int,
                  name: str = "default"):
@@ -159,9 +179,11 @@ class WorkerPool:
         self.name = name
         self._setup = lambda: _serve_batches(model, content_hash, engine,
                                              f"{name}-pool")
-        self._stats_lock = make_lock(f"serve.pool.{name}.stats")
+        #: guards every handle's claim, counters and ``disabled`` flag,
+        #: and ``_closed``; notified whenever a claim is released
+        self._idle = make_condition(f"serve.pool.{name}")
         self._closed = False
-        self._workers = [_WorkerHandle(shard, name) for shard in range(workers)]
+        self._workers = [_WorkerHandle(index) for index in range(workers)]
         try:
             for handle in self._workers:
                 self._spawn(handle)
@@ -177,20 +199,46 @@ class WorkerPool:
             name=f"repro-serve-pool-{name}-monitor")
         self._monitor.start()
 
-    @property
-    def workers(self) -> int:
-        return len(self._workers)
+    # -- claims ----------------------------------------------------------
+    def _claim(self) -> _WorkerHandle:
+        """An idle worker that is not disabled, alive ones first; waits
+        while every such worker is claimed."""
+        with self._idle:
+            while not self._closed:
+                enabled = [h for h in self._workers if not h.disabled]
+                if not enabled:
+                    raise ServeError(
+                        f"every serving worker of pool {self.name!r} is "
+                        f"disabled after {MAX_SPAWN_FAILURES} failed respawns")
+                idle = [h for h in enabled if not h.in_use]
+                if idle:
+                    handle = min(idle, key=lambda h: not h.alive())
+                    handle.in_use = True
+                    return handle
+                self._idle.wait()
+        raise ServeError(f"pool {self.name!r} is shut down")
+
+    def _try_claim(self, handle: _WorkerHandle) -> bool:
+        with self._idle:
+            if handle.in_use or handle.disabled or self._closed:
+                return False
+            handle.in_use = True
+            return True
+
+    def _release(self, handle: _WorkerHandle) -> None:
+        with self._idle:
+            handle.in_use = False
+            self._idle.notify_all()
 
     # -- spawn / respawn ----------------------------------------------
     def _spawn(self, handle: _WorkerHandle) -> None:
-        """Fork a fresh worker for ``handle``.  Caller must NOT hold
-        ``handle.lock`` — forking under an instrumented lock is exactly
-        what the sanitizer's fork hook flags."""
+        """Fork a fresh worker for a claimed (or not yet shared) ``handle``
+        — with no instrumented lock held, since forking under one is
+        exactly what the sanitizer's fork hook flags."""
         process = ForkedWorker(
-            self._setup, name=f"repro-serve-{self.name}-w{handle.shard}")
-        with handle.lock:
-            old, handle.process = handle.process, process
-            handle.last_heartbeat_s = time.monotonic()
+            self._setup, name=f"repro-serve-{self.name}-w{handle.index}")
+        old, handle.process = handle.process, process
+        handle.last_heartbeat_s = time.monotonic()
         if old is not None:
             old.close(timeout_s=0.0)
         counter("serve.pool.spawned").inc()
@@ -198,7 +246,7 @@ class WorkerPool:
     def _mark_crashed(self, handle: _WorkerHandle, why: str) -> WorkerCrashedError:
         counter("serve.pool.crashes").inc()
         error = WorkerCrashedError(
-            f"serving worker {handle.shard} (pool {self.name!r}) {why}; "
+            f"serving worker {handle.index} (pool {self.name!r}) {why}; "
             "it is being respawned — retry shortly")
         # a dead worker is exactly what the black box exists for: grab a
         # dump while the surrounding state (queues, requests, alerts) is
@@ -207,7 +255,7 @@ class WorkerPool:
         recorder = current_recorder()
         if recorder is not None:
             try:
-                recorder.record_crash(f"pool.worker.{handle.shard}", error)
+                recorder.record_crash(f"pool.worker.{handle.index}", error)
             except Exception:  # noqa: BLE001 - observing must not block respawn
                 pass
         return error
@@ -223,71 +271,44 @@ class WorkerPool:
     def _monitor_run(self) -> None:
         while not self._monitor_stop.wait(HEARTBEAT_INTERVAL_S):
             for handle in self._workers:
-                if self._closed:
-                    return
-                if handle.disabled:
+                # a worker running a batch is skipped: forward reports it
+                if not self._try_claim(handle):
                     continue
-                needs_respawn = False
-                with handle.lock:
-                    if not handle.alive() and not handle.respawning:
-                        handle.respawning = True
-                        needs_respawn = True
-                if needs_respawn:
-                    self._mark_crashed(handle, "died while idle")
-                    self._respawn(handle)
-                    continue
-                self._heartbeat(handle)
+                try:
+                    if handle.alive():
+                        self._heartbeat(handle)
+                    else:
+                        self._mark_crashed(handle, "died while idle")
+                        self._respawn(handle)
+                finally:
+                    self._release(handle)
 
     def _respawn(self, handle: _WorkerHandle) -> None:
-        if self._closed:
-            with handle.lock:
-                handle.respawning = False
-            return
         try:
-            try:
-                self._spawn(handle)
-            except Exception:  # noqa: BLE001 - a dead shard beats a dead monitor
-                counter("serve.pool.respawn_failures").inc()
-                with self._stats_lock:
-                    handle.spawn_failures += 1
-                    if handle.spawn_failures >= MAX_SPAWN_FAILURES:
-                        handle.disabled = True
-                return
-            with self._stats_lock:
-                handle.spawn_failures = 0
-                handle.restarts += 1
-            counter("serve.pool.restarts").inc()
-        finally:
-            with handle.lock:
-                handle.respawning = False
+            self._spawn(handle)
+        except Exception:  # noqa: BLE001 - a dead worker beats a dead monitor
+            counter("serve.pool.respawn_failures").inc()
+            with self._idle:
+                handle.spawn_failures += 1
+                handle.disabled = handle.spawn_failures >= MAX_SPAWN_FAILURES
+            return
+        with self._idle:
+            handle.spawn_failures = 0
+            handle.restarts += 1
+        counter("serve.pool.restarts").inc()
 
     def _heartbeat(self, handle: _WorkerHandle) -> None:
-        """Ping an idle worker; skip (without blocking) if it is busy."""
-        if not handle.lock.acquire(blocking=False):
-            return
         try:
-            if not handle.alive():
-                return
-            try:
-                handle.process.call(None, timeout_s=FORWARD_TIMEOUT_S)
-            except WorkerDied:
-                return  # liveness check on the next tick handles it
-            # batch counts stay parent-side: they span respawns
-            handle.last_heartbeat_s = time.monotonic()
-        finally:
-            handle.lock.release()
+            handle.process.call(None, timeout_s=FORWARD_TIMEOUT_S)
+        except WorkerDied:
+            return  # liveness check on the next tick handles it
+        handle.last_heartbeat_s = time.monotonic()
 
     # -- forward path --------------------------------------------------
-    def forward(self, shard: int, batch: np.ndarray) -> np.ndarray:
-        """Run one batch on ``shard``'s worker; raises on crash/timeout."""
-        handle = self._workers[shard]
-        with handle.lock:
-            if self._closed:
-                raise ServeError(f"pool {self.name!r} is shut down")
-            if handle.disabled:
-                raise ServeError(
-                    f"serving worker {handle.shard} (pool {self.name!r}) is "
-                    f"disabled after {handle.spawn_failures} failed respawns")
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """Run one batch on a free worker; raises on crash/timeout."""
+        handle = self._claim()
+        try:
             if not handle.alive():
                 raise self._mark_crashed(handle, "was down when the batch arrived")
             try:
@@ -296,20 +317,22 @@ class WorkerPool:
             except WorkerDied as error:
                 raise self._mark_crashed(handle, f"failed mid-batch ({error})") \
                     from error
-        with self._stats_lock:
-            handle.batches_done += 1
-        return output
+            with self._idle:
+                handle.batches_done += 1
+            return output
+        finally:
+            self._release(handle)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
         now = time.monotonic()
         per_worker = []
-        with self._stats_lock:
+        with self._idle:
             counts = [(h.restarts, h.batches_done) for h in self._workers]
         for handle, (restarts, batches_done) in zip(self._workers, counts):
             beat = handle.last_heartbeat_s
             per_worker.append({
-                "shard": handle.shard,
+                "worker": handle.index,
                 "pid": handle.process.pid if handle.process else None,
                 "alive": handle.alive(),
                 "disabled": handle.disabled,
@@ -328,19 +351,20 @@ class WorkerPool:
     # -- lifecycle -----------------------------------------------------
     def close(self, drain: bool = True) -> None:
         """Stop the monitor, then stop and reap every worker."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._idle:
+            if self._closed:
+                return
+            self._closed = True
+            self._idle.notify_all()
         self._monitor_stop.set()
         self._monitor.join(timeout=5.0)
         with span("serve.pool.close", drain=drain, workers=len(self._workers)):
+            with self._idle:
+                # a batch or heartbeat still on a pipe finishes first
+                self._idle.wait_for(
+                    lambda: not any(h.in_use for h in self._workers),
+                    FORWARD_TIMEOUT_S)
             for handle in self._workers:
-                # under the lock: a heartbeat still on the pipe finishes first
-                with handle.lock:
-                    if handle.process is not None:
-                        handle.process.close(
-                            timeout_s=DRAIN_TIMEOUT_S if drain else 0.5)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+                if handle.process is not None:
+                    handle.process.close(
+                        timeout_s=DRAIN_TIMEOUT_S if drain else 0.5)

@@ -48,7 +48,9 @@ import math
 import sys
 import threading
 import time
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -65,17 +67,17 @@ from repro.obs import (
 )
 from repro.obs.dashboard import render_dashboard
 from repro.runtime.sync import make_lock
-from repro.tensor import Tensor, no_grad
 
 from .batcher import (
     BatcherClosedError, BatchPolicy, DeadlineExceededError, MicroBatcher,
     QueueFullError, ServeError,
 )
-from .engine import PlanExecutor, plan_cache_stats, resolve_engine
+from .engine import plan_cache_stats, resolve_engine
 from .jobs import JobService
-from .pool import WorkerCrashedError, WorkerPool, resolve_serve_workers
+from .pool import (
+    WorkerCrashedError, WorkerPool, make_forward, resolve_serve_workers,
+)
 from .registry import ModelManifest
-from .router import ShardRouter
 
 __all__ = ["ServeConfig", "ServedModel", "PredictServer", "render_prometheus",
            "escape_label_value"]
@@ -120,7 +122,7 @@ class ServedModel:
 
     ``health`` attaches a physics :class:`~repro.obs.HealthMonitor` as
     the batcher's post-forward observer: invariant checks run inline on
-    the worker thread, sampled shadow audits on their own daemon
+    the batcher's lane thread, sampled shadow audits on their own daemon
     thread.  The monitor only ever reads the batch — served outputs are
     bitwise identical with and without it.
 
@@ -130,13 +132,14 @@ class ServedModel:
     identical, falling back to tape on capture failure or while a
     capture is in flight).  ``None`` consults ``REPRO_INFER_PLAN``.
 
-    ``workers`` selects the execution backend: 1 (the default, also via
-    ``REPRO_SERVE_WORKERS``) keeps the historical in-process path — one
-    micro-batcher thread running the forward under the GIL.  More than
-    one forks that many worker processes (each with its own core and
-    plan cache, serving this object's model, read-only, through the
-    fork) and routes requests across per-shard batchers by content hash;
-    outputs are bitwise identical either way.
+    ``workers`` (default ``REPRO_SERVE_WORKERS``, else 1) sets where
+    the forward runs.  Either way there is one micro-batcher — one
+    queue, one response cache — with one lane thread per worker.  At 1
+    its lane runs the forward in-process, under the GIL.  At N > 1 the
+    model is served by N forked worker processes (each with its own core
+    and plan cache, serving this object's model, read-only, through the
+    fork), and each lane hands its batch to a free one.  Outputs are
+    bitwise identical either way.
     """
 
     def __init__(self, model, manifest: ModelManifest, policy: BatchPolicy,
@@ -150,11 +153,7 @@ class ServedModel:
         self.engine = resolve_engine(engine)
         label = f"{manifest.name}-v{manifest.version}"
         self.workers = resolve_serve_workers(workers)
-        self._executor = None
         self.pool = None
-        if self.workers == 1 and self.engine == "plan":
-            self._executor = PlanExecutor(
-                self.model, manifest.content_hash, label=label)
         peb = peb if peb is not None else PEBConfig()
         self.monitor = None
         if health is not None:
@@ -165,13 +164,13 @@ class ServedModel:
             # forked after the cast: workers inherit float64 weights
             self.pool = WorkerPool(self.model, manifest.content_hash,
                                    self.engine, self.workers, name=label)
-            self.batcher = ShardRouter(
-                self._shard_predict_fn, self.workers, policy, name=label,
-                observer=self._observe_batch)
+            forward = self.pool.forward
         else:
-            self.batcher = MicroBatcher(self._predict_batch, policy,
-                                        name=label,
-                                        observer=self._observe_batch)
+            forward = make_forward(self.model, manifest.content_hash,
+                                   self.engine, label)
+        self.batcher = MicroBatcher(forward, policy, name=label,
+                                    observer=self._observe_batch,
+                                    lanes=self.workers)
         self.clip_shape = tuple(manifest.grid_config().shape)
 
     def _cast_params_once(self) -> None:
@@ -180,32 +179,6 @@ class ServedModel:
         for _, param in self.model.named_parameters():
             if param.data.dtype != np.float64:
                 param.data = param.data.astype(np.float64)
-
-    def _predict_batch(self, batch: np.ndarray) -> np.ndarray:
-        # validate_input already cast each clip to float64 and np.stack
-        # preserved it, so the batch needs no per-request conversion
-        batch = np.asarray(batch)
-        if batch.dtype != np.float64:
-            raise ServeError(f"batch reached the forward path as {batch.dtype}; "
-                             "inputs must be cast to float64 at validation")
-        with span("serve.forward", size=len(batch), engine=self.engine):
-            if self._executor is not None:
-                output = self._executor.run(batch)
-                if output is not None:
-                    return output
-            with no_grad():
-                return self.model(Tensor(batch)).numpy()
-
-    def _shard_predict_fn(self, shard: int):
-        """Per-shard predict callable for the router's batchers."""
-        def predict(batch: np.ndarray) -> np.ndarray:
-            batch = np.asarray(batch)
-            if batch.dtype != np.float64:
-                raise ServeError(
-                    f"batch reached the forward path as {batch.dtype}; "
-                    "inputs must be cast to float64 at validation")
-            return self.pool.forward(shard, batch)
-        return predict
 
     def _observe_batch(self, batch, outputs, request_ids, ctxs) -> None:
         if self.monitor is not None:
@@ -481,11 +454,7 @@ class _Handler(BaseHTTPRequestHandler):
         counter("serve.http.jobs_submit").inc()
         with span("serve.request", route="/v1/jobs",
                   request_id=self._request_id):
-            body = self._read_body()
-            try:
-                payload = json.loads(body)
-            except json.JSONDecodeError as error:
-                raise _HTTPError(400, f"invalid JSON body: {error}") from error
+            payload = _json_body(self._read_body())
             if not isinstance(payload, dict) or "type" not in payload:
                 raise _HTTPError(
                     400, 'JSON body must be an object with a "type" field')
@@ -513,7 +482,8 @@ class _Handler(BaseHTTPRequestHandler):
                 body = self._read_body()
                 content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
                 as_json = content_type == "application/json"
-                acid, deadline_ms = _parse_predict_payload(body, as_json, query)
+                acid, deadline_ms = _parse_predict_payload(
+                    body, as_json, query, served.clip_shape)
                 try:
                     acid = served.validate_input(acid)
                 except ValueError as error:
@@ -563,7 +533,7 @@ def _finite(value, key: str) -> float:
     """``value`` as a finite float, or a 400 naming ``key``."""
     try:
         number = float(value)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise _HTTPError(400, f"{key} must be a number") from error
     if not math.isfinite(number):
         raise _HTTPError(400, f"{key} must be a finite number, got {number}")
@@ -592,21 +562,62 @@ def _job_payload(record) -> dict:
     return payload
 
 
-def _parse_predict_payload(body: bytes, as_json: bool,
-                           query: dict) -> tuple[np.ndarray, float | None]:
+def _json_body(body: bytes):
+    """The parsed JSON body, or a 400.  Bytes that are not UTF-8 raise
+    ``UnicodeDecodeError`` and a deeply nested document
+    ``RecursionError``, neither of them a ``JSONDecodeError``."""
+    try:
+        return json.loads(body)
+    except (ValueError, RecursionError) as error:
+        raise _HTTPError(400, f"invalid JSON body: {error}") from error
+
+
+def _check_npy_header(archive, clip_shape: tuple) -> None:
+    """400 unless the archive's ``acid`` member declares one clip of
+    ``clip_shape`` (a leading 1 allowed) with a bool, integer or real
+    float dtype — read from the ``.npy`` header, before any data is
+    decompressed."""
+    # NpzFile's own lookup order: a member named exactly "acid" first
+    names = archive.zip.namelist()
+    with archive.zip.open("acid" if "acid" in names else "acid.npy") as member:
+        version = np.lib.format.read_magic(member)
+        if version == (1, 0):
+            shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+        elif version == (2, 0):
+            shape, _, dtype = np.lib.format.read_array_header_2_0(member)
+        else:
+            raise _HTTPError(400, f'"acid" uses .npy format version {version}; '
+                                  "expected 1.0 or 2.0")
+    if shape not in (clip_shape, (1,) + clip_shape):
+        raise _HTTPError(400, f'"acid" has shape {shape}; expected one clip of '
+                              f"shape {clip_shape} (nz, ny, nx)")
+    if dtype.kind not in "biuf":
+        raise _HTTPError(400, f'"acid" has dtype {dtype}; expected bool, '
+                              "integer or real float")
+
+
+#: what zipfile and numpy raise on a malformed archive, beyond
+#: ``BadZipFile`` and ``ValueError``: a corrupt deflate stream
+#: (``zlib.error``), a member cut short (``EOFError``), flags claiming
+#: encryption (``RuntimeError``), an unknown compression method
+#: (``NotImplementedError``, a ``RuntimeError``) and a garbled ``.npy``
+#: header (``tokenize.TokenError``)
+_NPZ_ERRORS = (zipfile.BadZipFile, ValueError, OSError, zlib.error, EOFError,
+               RuntimeError, tokenize.TokenError)
+
+
+def _parse_predict_payload(body: bytes, as_json: bool, query: dict,
+                           clip_shape: tuple) -> tuple[np.ndarray, float | None]:
     deadline_ms = _float_arg(query, "deadline_ms")
     if as_json:
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as error:
-            raise _HTTPError(400, f"invalid JSON body: {error}") from error
+        payload = _json_body(body)
         if not isinstance(payload, dict) or "acid" not in payload:
             raise _HTTPError(400, 'JSON body must be an object with an "acid" array')
         if deadline_ms is None and "deadline_ms" in payload:
             deadline_ms = _finite(payload["deadline_ms"], "deadline_ms")
         try:
             acid = np.asarray(payload["acid"], dtype=np.float64)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise _HTTPError(400, f'"acid" is not a numeric array: {error}') from error
         return acid, deadline_ms
     try:
@@ -618,8 +629,9 @@ def _parse_predict_payload(body: bytes, as_json: bool,
             if "acid" not in archive.files:
                 raise _HTTPError(400, 'npz payload must contain an "acid" array '
                                       f"(found {archive.files})")
+            _check_npy_header(archive, clip_shape)
             return np.asarray(archive["acid"], dtype=np.float64), deadline_ms
-    except (zipfile.BadZipFile, ValueError, OSError) as error:
+    except _NPZ_ERRORS as error:
         raise _HTTPError(400, f"body is not a readable npz archive: {error}") from error
 
 

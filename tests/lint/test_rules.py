@@ -29,6 +29,7 @@ CASES = [
     ("rep104_check_then_act.py", "src/repro/serve/fixture.py", "REP104", 17),
     ("rep105_contextvar_leak.py", "src/repro/serve/fixture.py", "REP105", 9),
     ("rep106_undrained_daemon.py", "src/repro/serve/fixture.py", "REP106", 11),
+    ("rep106_undrained_lanes.py", "src/repro/serve/fixture.py", "REP106", 11),
 ]
 
 
@@ -76,6 +77,31 @@ class TestPathScoping:
     def test_rep006_only_applies_to_config_modules(self):
         source = _fixture_source("rep006_unitless_field.py")
         assert lint_source(source, "src/repro/experiments/fixture.py") == []
+
+
+class TestDaemonThreadInventory:
+    def test_lanes_joined_in_a_loop_are_drained(self):
+        lines = _fixture_source("rep106_undrained_lanes.py").splitlines()
+        lines += ["",
+                  "    def close(self):",
+                  "        for lane in self._lanes:",
+                  "            lane.join(1.0)"]
+        assert lint_source("\n".join(lines), "src/repro/serve/fixture.py") == []
+
+    def test_tuple_of_daemon_threads_needs_a_join(self):
+        source = "\n".join([
+            "import threading",
+            "",
+            "class Pair:",
+            "    def __init__(self):",
+            "        self._pair = (threading.Thread(target=self.run, daemon=True),",
+            "                      threading.Thread(target=self.run, daemon=True))",
+            "",
+            "    def run(self):",
+            "        pass",
+        ])
+        assert [(d.rule, d.line) for d in lint_source(
+            source, "src/repro/serve/fixture.py")] == [("REP106", 5)]
 
 
 class TestFramework:

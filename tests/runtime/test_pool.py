@@ -145,7 +145,7 @@ class TestParallelMap:
         model, _ = build_method("DeepCNN", grid)
         pool = WorkerPool(model, "sha256:" + "0" * 64, "tape", 1)
         try:
-            counts = pool.forward(0, np.zeros((1,) + grid.shape))
+            counts = pool.forward(np.zeros((1,) + grid.shape))
         finally:
             pool.close()
         assert counts.size and set(counts.tolist()) == {1}, counts

@@ -135,6 +135,35 @@ class TestCoalescing:
         batcher.close()
 
 
+class TestLanes:
+    def test_lanes_run_batches_side_by_side_off_one_queue(self, gate):
+        calls = threading.Semaphore(0)
+
+        def predict(batch):
+            calls.release()
+            assert gate.wait(10.0), "test gate never opened"
+            return batch * 2.0
+
+        batcher = MicroBatcher(predict, BatchPolicy(
+            max_batch_size=1, max_wait_ms=0.0, cache_entries=0), lanes=2)
+        inputs = [np.full((2,), float(i)) for i in range(3)]
+        submits = [submit_async(batcher, array) for array in inputs]
+        # two lanes hold a batch each; the third request waits its turn
+        assert calls.acquire(timeout=5.0) and calls.acquire(timeout=5.0)
+        assert wait_until(lambda: batcher.queue_depth() == 1)
+        gate.set()
+        for (thread, box), array in zip(submits, inputs):
+            thread.join(10.0)
+            assert np.array_equal(box["result"], array * 2.0)
+        assert batcher.stats()["batches_run"] == 3
+        batcher.close()
+        assert not any(lane.is_alive() for lane in batcher._lanes)
+
+    def test_needs_a_lane(self):
+        with pytest.raises(ValueError):
+            MicroBatcher(RecordingPredict(), lanes=0)
+
+
 class TestDeadlines:
     def test_expired_request_dropped_without_forward(self, gate):
         """Deterministic deadline expiry: the fake clock jumps past the

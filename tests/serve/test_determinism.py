@@ -57,7 +57,7 @@ class TestBatchedVsSingle:
         trainer, path, clips = checkpoint
         expected = trainer.predict(clips, batch_size=len(clips))
         served = serve_model(path)
-        got = served._predict_batch(clips)
+        got = served.batcher._predict_fn(clips)
         assert np.array_equal(got, expected)
         served.batcher.close()
 
@@ -148,9 +148,9 @@ class TestCrossWorkerMatrix:
     """Bitwise identity across the full backend matrix.
 
     workers ∈ {1, 2, 4} × engine ∈ {tape, plan} × tracing on/off must
-    all serve the same bytes: the process pool, the shared-memory
-    weight views, the shard router and the per-worker plan caches are
-    transport, never arithmetic.  Batch-1 policy pins the composition
+    all serve the same bytes: the process pool, the inherited weights,
+    the batcher's lanes and the per-worker plan caches are transport,
+    never arithmetic.  Batch-1 policy pins the composition
     so the BLAS shape caveat (module docstring) cannot blur the
     comparison.
     """
@@ -187,68 +187,59 @@ class TestCrossWorkerMatrix:
                 disable_tracing()
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_mixed_compositions_through_shard_router(self, checkpoint, workers):
-        """Concurrent submits coalesce into per-shard mixed-size batches;
-        each batch must equal Trainer.predict at the matching size."""
+    def test_mixed_compositions_through_lanes(self, checkpoint, workers):
+        """Concurrent submits coalesce into mixed-size batches across the
+        lanes; each batch must equal Trainer.predict at the matching
+        size."""
         trainer, path, clips = checkpoint
         rng = np.random.default_rng(7)
         many = rng.random((8,) + clips.shape[1:])
         served = serve_model(path, workers=workers, max_batch_size=len(many),
                              max_wait_ms=500.0, cache_entries=0)
-        router = served.batcher
-        groups = {}
-        for index, clip in enumerate(many):
-            shard, _ = router.shard_of(clip)
-            groups.setdefault(shard, []).append(index)
-        # gate every shard's predict so each releases exactly one batch
-        # holding that shard's full group — a known mixed composition
+        batcher = served.batcher
+        # gate the lanes' predict so each of the first `workers` batches
+        # holds one head alone, and the tail queued behind them coalesces
+        # into one follow-up batch — a known mixed composition
         gate = threading.Event()
-        started = []
-        for shard_batcher in router.shards:
-            inner = shard_batcher._predict_fn
-            begun = threading.Event()
-            started.append(begun)
+        begun = threading.Semaphore(0)
+        inner = batcher._predict_fn
 
-            def gated(batch, _inner=inner, _begun=begun):
-                _begun.set()
-                assert gate.wait(60.0)
-                return _inner(batch)
+        def gated(batch):
+            begun.release()
+            assert gate.wait(60.0)
+            return inner(batch)
 
-            shard_batcher._predict_fn = gated
+        batcher._predict_fn = gated
         results = [None] * len(many)
 
         def run(index):
-            results[index] = router.submit(many[index], timeout_s=120.0)
+            results[index] = batcher.submit(many[index], timeout_s=120.0)
 
         threads = [threading.Thread(target=run, args=(i,), daemon=True)
                    for i in range(len(many))]
-        # start each group's head first and wait until its shard's
-        # worker thread holds it alone behind the gate, so the tails
-        # below coalesce into exactly one follow-up batch per shard
-        for indices in groups.values():
-            threads[indices[0]].start()
-        for shard in groups:
-            assert started[shard].wait(60.0)
-        for indices in groups.values():
-            for index in indices[1:]:
-                threads[index].start()
+        heads, tail = list(range(workers)), list(range(workers, len(many)))
+        # start each head only once the previous one's lane holds it
+        # behind the gate, so every lane runs exactly one head
+        for index in heads:
+            threads[index].start()
+            assert begun.acquire(timeout=60.0)
+        for index in tail:
+            threads[index].start()
         deadline = 1000
-        queued_target = len(many) - len(groups)
-        while router.queue_depth() < queued_target and deadline:
+        while batcher.queue_depth() < len(tail) and deadline:
             threading.Event().wait(0.01)
             deadline -= 1
-        assert router.queue_depth() == queued_target
+        assert batcher.queue_depth() == len(tail)
         gate.set()
         for thread in threads:
             thread.join(120.0)
-        for shard, indices in groups.items():
-            head, tail = indices[0], indices[1:]
+        assert batcher.stats()["batches_run"] == workers + 1
+        for head in heads:
             want_head = trainer.predict(many[[head]], batch_size=1)
             assert np.array_equal(results[head], want_head[0])
-            if tail:
-                want_tail = trainer.predict(many[tail], batch_size=len(tail))
-                got_tail = np.stack([results[i] for i in tail])
-                assert np.array_equal(got_tail, want_tail)
+        want_tail = trainer.predict(many[tail], batch_size=len(tail))
+        got_tail = np.stack([results[i] for i in tail])
+        assert np.array_equal(got_tail, want_tail)
         served.close()
 
 

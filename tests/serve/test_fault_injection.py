@@ -76,12 +76,10 @@ def wait_until(predicate, timeout_s: float = 10.0) -> bool:
     return predicate()
 
 
-def kill_mid_batch(served, clip, submit):
-    """Run ``submit`` on a thread and SIGKILL the owning worker while the
-    batch is in flight.  Returns (outcome box, killed pid)."""
-    shard, _ = served.batcher.shard_of(clip)
-    handle = served.pool._workers[shard]
-    pid = handle.process.pid
+def kill_mid_batch(served, submit):
+    """Run ``submit`` on a thread and SIGKILL the worker that takes the
+    batch while it is in flight.  Returns (outcome box, killed worker's
+    index, killed pid)."""
     box = {}
 
     def run():
@@ -92,12 +90,19 @@ def kill_mid_batch(served, clip, submit):
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
-    assert wait_until(lambda: handle.busy, timeout_s=30.0), \
+    # in_use: claimed by a forward, so a heartbeat's busy does not count
+    def holding():
+        return [i for i, h in enumerate(served.pool._workers)
+                if h.in_use and h.busy]
+
+    assert wait_until(holding, timeout_s=30.0), \
         "batch never reached the worker pipe"
+    (index,) = holding()
+    pid = served.pool._workers[index].process.pid
     os.kill(pid, signal.SIGKILL)
     thread.join(60.0)
     assert not thread.is_alive()
-    return box, pid
+    return box, index, pid
 
 
 def wait_for_respawn(pool, min_restarts=1, timeout_s=15.0):
@@ -122,15 +127,13 @@ class TestDirectKill:
         widen_kill_window(monkeypatch)
         served = pooled_model(checkpoint)
         try:
-            box, killed_pid = kill_mid_batch(
-                served, clip,
-                lambda: served.batcher.submit(clip, timeout_s=60.0))
+            box, shard, killed_pid = kill_mid_batch(
+                served, lambda: served.batcher.submit(clip, timeout_s=60.0))
             assert "result" not in box, \
                 "a killed worker must never produce an answer"
             assert isinstance(box["error"], WorkerCrashedError)
             wait_for_respawn(served.pool)
             stats = served.pool.stats()
-            shard, _ = served.batcher.shard_of(clip)
             new_pid = stats["per_worker"][shard]["pid"]
             assert new_pid is not None and new_pid != killed_pid
             retried = served.batcher.submit(clip, timeout_s=60.0)
@@ -179,7 +182,7 @@ class TestHTTPKill:
                 connection.close()
                 return response.status, headers, body
 
-            box, _ = kill_mid_batch(served, clip, post)
+            box, _, _ = kill_mid_batch(served, post)
             status, headers, _ = box["result"]
             assert status == 503
             assert "Retry-After" in headers
@@ -235,8 +238,8 @@ class TestHTTPKill:
                 connection.close()
                 return response.status
 
-            box, _ = kill_mid_batch(served, clip,
-                                    lambda: post(clip, "req-killed"))
+            box, _, _ = kill_mid_batch(served,
+                                       lambda: post(clip, "req-killed"))
             assert box["result"] == 503
             wait_for_respawn(served.pool)
             assert post(clip, "req-retry") == 200

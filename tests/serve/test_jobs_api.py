@@ -137,6 +137,21 @@ class TestJobRoutes:
         assert status == 400
         assert '"type"' in payload["error"]
 
+    def test_invalid_utf8_body_is_400_on_a_kept_connection(self, server):
+        host, port = server.address
+        connection = HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("POST", "/v1/jobs", body=b'{"type": "\xff"}',
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "invalid JSON" in json.loads(response.read())["error"]
+            assert response.getheader("Connection") != "close"
+            connection.request("GET", "/v1/jobs")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
     def test_unknown_id_is_404(self, server):
         status, payload = request_json(server, "GET", "/v1/jobs/doesnotexist")
         assert status == 404

@@ -85,10 +85,10 @@ class TestBatchIdentity:
         plan = make_served(checkpoint, "plan")
         try:
             x = np.random.default_rng(batch).random((batch, 1) + GRID.shape)
-            expected = tape._predict_batch(x)
+            expected = tape.batcher._predict_fn(x)
             # first call captures + replays, second replays from cache
-            assert np.array_equal(plan._predict_batch(x), expected)
-            assert np.array_equal(plan._predict_batch(x), expected)
+            assert np.array_equal(plan.batcher._predict_fn(x), expected)
+            assert np.array_equal(plan.batcher._predict_fn(x), expected)
         finally:
             tape.close()
             plan.close()
@@ -160,8 +160,8 @@ class TestFallback:
             with no_grad():
                 expected = served.model(Tensor(x)).numpy()
             # every call is served correctly despite the failed capture
-            assert np.array_equal(served._predict_batch(x), expected)
-            assert np.array_equal(served._predict_batch(x), expected)
+            assert np.array_equal(served.batcher._predict_fn(x), expected)
+            assert np.array_equal(served.batcher._predict_fn(x), expected)
         finally:
             served.close()
         stats = plan_cache_stats()

@@ -1,18 +1,18 @@
 """Unit coverage for the process-pool plumbing: worker-count resolution,
-shard routing determinism, pool stats shape, read-only inherited
-weights, worker reaping (close, crash, SIGTERM and a SIGKILLed server)
-and closed-pool behavior.  Heavier end-to-end pool behavior (crash,
+pool stats shape, batches going to free and enabled workers, read-only
+inherited weights, worker reaping (close, crash, SIGTERM and a
+SIGKILLed server) and closed-pool behavior.  Heavier end-to-end pool behavior (crash,
 respawn, bitwise identity) lives in test_fault_injection.py and
 test_determinism.py.
 """
 
-import hashlib
 import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from http.client import HTTPConnection
 from pathlib import Path
@@ -24,11 +24,10 @@ from repro import nn
 from repro.config import GridConfig
 from repro.experiments import build_method
 from repro.serve import (
-    BatchPolicy, ServedModel, ServeError, load_checkpoint,
-    resolve_serve_workers, save_checkpoint, shard_for,
+    BatchPolicy, MicroBatcher, ServedModel, ServeError, content_hash,
+    load_checkpoint, resolve_serve_workers, save_checkpoint,
 )
 from repro.serve import pool as pool_module
-from repro.serve.router import ShardRouter
 
 GRID = GridConfig(size_um=0.8, nx=16, ny=16, nz=2)
 
@@ -94,63 +93,6 @@ class TestResolveServeWorkers:
     def test_bad_arg_raises(self):
         with pytest.raises(ValueError):
             resolve_serve_workers(0)
-
-
-class TestShardFor:
-    def test_deterministic_and_in_range(self):
-        rng = np.random.default_rng(0)
-        for _ in range(32):
-            key = hashlib.sha256(rng.bytes(16)).hexdigest()
-            for n in (1, 2, 4, 8):
-                shard = shard_for(key, n)
-                assert 0 <= shard < n
-                assert shard == shard_for(key, n)
-
-    def test_single_shard_routes_everything_to_zero(self):
-        key = hashlib.sha256(b"x").hexdigest()
-        assert shard_for(key, 1) == 0
-
-    def test_spreads_across_shards(self):
-        keys = [hashlib.sha256(bytes([i])).hexdigest() for i in range(64)]
-        hit = {shard_for(k, 4) for k in keys}
-        assert hit == {0, 1, 2, 3}
-
-
-class TestShardRouter:
-    def test_same_clip_always_lands_on_same_shard(self):
-        seen = []
-
-        def make(shard):
-            def predict(batch):
-                seen.append(shard)
-                return batch
-            return predict
-
-        router = ShardRouter(make, 4, BatchPolicy(max_batch_size=1,
-                                                  max_wait_ms=0.0,
-                                                  cache_entries=0))
-        try:
-            clip = np.random.default_rng(1).random(GRID.shape)
-            expected_shard, key = router.shard_of(clip)
-            assert shard_for(key, 4) == expected_shard
-            for _ in range(3):
-                router.submit(clip, timeout_s=30.0)
-            assert seen == [expected_shard] * 3
-        finally:
-            router.close()
-        assert router.closed
-
-    def test_stats_merge_per_shard_sections(self):
-        router = ShardRouter(lambda shard: (lambda batch: batch), 2,
-                             BatchPolicy(max_batch_size=1, max_wait_ms=0.0))
-        try:
-            stats = router.stats()
-            assert stats["shards"].keys() == {"s0", "s1"}
-            assert stats["requests_done"] == 0
-            assert stats["batches_run"] == 0
-            assert router.queue_depth() == 0
-        finally:
-            router.close()
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +165,7 @@ class TestPooledServedModel:
         monkeypatch.setattr(pool_module, "_forward", _inspect_parameters)
         served = pooled(checkpoint)
         try:
-            report = served.pool.forward(0, np.zeros((1,) + GRID.shape))
+            report = served.pool.forward(np.zeros((1,) + GRID.shape))
         finally:
             served.close()
         assert report["refused"] and all(report["refused"])
@@ -242,7 +184,122 @@ class TestPooledServedModel:
         served.close()
         clip = np.random.default_rng(2).random(GRID.shape)
         with pytest.raises(Exception):
-            pool.forward(0, clip[None])
+            pool.forward(clip[None])
+
+
+def batches_done(served) -> list[int]:
+    return [w["batches_done"] for w in served.pool.stats()["per_worker"]]
+
+
+def submit_all(batcher, clips) -> list:
+    """Submit every clip from its own thread; each result or error."""
+    outcomes: list = [None] * len(clips)
+
+    def run(index):
+        try:
+            outcomes[index] = batcher.submit(clips[index], timeout_s=60.0)
+        except Exception as error:  # noqa: BLE001 - captured for assertions
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(clips))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120.0)
+    return outcomes
+
+
+class TestBatchesGoToFreeWorkers:
+    def test_concurrent_clips_run_on_both_workers(self, checkpoint,
+                                                  monkeypatch):
+        """Two distinct clips whose content hashes agree mod 2 run side by
+        side on the two workers instead of queueing for one."""
+        rng = np.random.default_rng(11)
+        clips = [rng.random(GRID.shape) for _ in range(8)]
+
+        def parity(clip):
+            return int(content_hash(clip)[:16], 16) % 2
+
+        pair = [clips[0], next(c for c in clips[1:]
+                               if parity(c) == parity(clips[0]))]
+        forward = pool_module._forward
+
+        def slow_forward(*args):
+            time.sleep(0.5)
+            return forward(*args)
+
+        monkeypatch.setattr(pool_module, "_forward", slow_forward)
+        served = pooled(checkpoint)
+        try:
+            results = [None, None]
+
+            def run(index):
+                results[index] = served.batcher.submit(pair[index],
+                                                       timeout_s=60.0)
+
+            first = threading.Thread(target=run, args=(0,), daemon=True)
+            first.start()
+            # a heartbeat's busy would only start the second clip sooner
+            assert wait_until(lambda: any(h.busy for h in served.pool._workers),
+                              timeout_s=30.0)
+            second = threading.Thread(target=run, args=(1,), daemon=True)
+            second.start()
+            first.join(60.0)
+            second.join(60.0)
+            assert all(result is not None for result in results)
+            assert batches_done(served) == [1, 1]
+        finally:
+            served.close()
+
+    def test_disabled_worker_gets_no_batches(self, checkpoint):
+        served = pooled(checkpoint)
+        try:
+            served.pool._workers[1].disabled = True
+            clips = list(np.random.default_rng(12).random((6,) + GRID.shape))
+            outcomes = submit_all(served.batcher, clips)
+            assert all(isinstance(o, np.ndarray) for o in outcomes), outcomes
+            assert batches_done(served) == [6, 0]
+        finally:
+            served.close()
+
+    def test_more_lanes_than_workers_under_thread_churn(self, checkpoint):
+        """Four lanes contend for two workers with the switch interval cut
+        short: every clip still gets its own answer (two batches on one
+        worker's pipe would swap replies) and every batch is counted."""
+        clips = list(np.random.default_rng(14).random((24,) + GRID.shape))
+        reference = pooled(checkpoint, workers=1)
+        try:
+            expected = [reference.batcher.submit(c, timeout_s=60.0) for c in clips]
+        finally:
+            reference.close()
+        served = pooled(checkpoint)
+        batcher = MicroBatcher(served.pool.forward,
+                               BatchPolicy(max_batch_size=1, max_wait_ms=0.0,
+                                           cache_entries=0), lanes=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = submit_all(batcher, clips)
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+            served.close()
+        for got, want in zip(outcomes, expected):
+            assert isinstance(got, np.ndarray), got
+            assert np.array_equal(got, want)
+        assert sum(batches_done(served)) == len(clips)
+
+    def test_every_worker_disabled_fails_fast(self, checkpoint):
+        served = pooled(checkpoint)
+        try:
+            for handle in served.pool._workers:
+                handle.disabled = True
+            clip = np.random.default_rng(13).random(GRID.shape)
+            with pytest.raises(ServeError, match="disabled"):
+                served.batcher.submit(clip, timeout_s=30.0)
+        finally:
+            served.close()
 
 
 class TestPoolLifecycle:

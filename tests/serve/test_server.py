@@ -2,6 +2,10 @@
 
 import io
 import json
+import math
+import struct
+import tracemalloc
+import zlib
 from http.client import HTTPConnection
 
 import numpy as np
@@ -13,6 +17,7 @@ from repro.experiments import build_method
 from repro.serve import (
     BatchPolicy, ModelRegistry, PredictServer, ServeConfig, ServedModel,
 )
+from repro.serve.server import _HTTPError, _parse_predict_payload
 from repro.tensor import Tensor, no_grad
 
 GRID = GridConfig(size_um=0.8, nx=16, ny=16, nz=2)
@@ -50,6 +55,55 @@ def npy_bytes(array) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array)
     return buffer.getvalue()
+
+
+def npz_bytes(acid) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, acid=acid)
+    return buffer.getvalue()
+
+
+def flipped_npz(anchor: str, offset: int, xor: int) -> bytes:
+    """A compressed npz of one clip with one byte flipped, ``offset`` past
+    the central directory record or the start of the member's data."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, acid=np.random.default_rng(0).random(GRID.shape))
+    body = bytearray(buffer.getvalue())
+    name_len, extra_len = struct.unpack_from("<2H", body, 26)
+    base = {"central": body.rindex(b"PK\x01\x02"),
+            "data": 30 + name_len + extra_len}[anchor]
+    body[base + offset] ^= xor
+    return bytes(body)
+
+
+def zeros_npz(shape, chunk_bytes=1 << 22) -> bytes:
+    """The archive ``np.savez_compressed(acid=np.zeros(shape))`` writes,
+    built without deflating every zero: after a full flush, deflate
+    encodes each identical chunk identically, so one encoded chunk is
+    repeated."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    header = header.getvalue()
+    chunks, rest = divmod(8 * math.prod(shape), chunk_bytes)
+    assert rest == 0
+    zero = bytes(chunk_bytes)
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    head = deflate.compress(header) + deflate.flush(zlib.Z_FULL_FLUSH)
+    repeat = deflate.compress(zero) + deflate.flush(zlib.Z_FULL_FLUSH)
+    data = head + repeat * chunks + deflate.flush()
+    crc = zlib.crc32(header)
+    for _ in range(chunks):
+        crc = zlib.crc32(zero, crc)
+    size, name = len(header) + chunks * chunk_bytes, b"acid.npy"
+    local = struct.pack("<4s5H3L2H", b"PK\x03\x04", 20, 0, 8, 0, 0, crc,
+                        len(data), size, len(name), 0) + name
+    central = struct.pack("<4s6H3L5H2L", b"PK\x01\x02", 20, 20, 0, 8, 0, 0,
+                          crc, len(data), size, len(name), 0, 0, 0, 0, 0,
+                          0) + name
+    end = struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 1, 1, len(central),
+                      len(local) + len(data), 0)
+    return local + data + central + end
 
 
 def post_npz(connection, acid, query=""):
@@ -137,8 +191,21 @@ class TestPredict:
         ("?deadline_ms=inf", None, None, {}, "deadline_ms"),
         ("", None, npy_bytes(np.zeros(GRID.shape)),
          {"Content-Type": "application/octet-stream"}, "npz"),
+        ("", None, b'{"acid": "\xff"}', {}, "invalid JSON"),
+        ("", None, b"[" * 100_000, {}, "invalid JSON"),
+        ("", None, npz_bytes(np.zeros(GRID.shape, dtype=np.complex128)),
+         {"Content-Type": "application/octet-stream"}, "complex128"),
+        ("", None, npz_bytes(np.zeros((3,) + GRID.shape)),
+         {"Content-Type": "application/octet-stream"}, "(3, 2, 16, 16)"),
+        *[("", None, flipped_npz(*flip),
+           {"Content-Type": "application/octet-stream"}, "npz")
+          for flip in (("central", 8, 0x01), ("central", 10, 0x60),
+                       ("data", 0, 0xff), ("data", 91, 0xff))],
     ], ids=["deadline-string", "deadline-list", "content-length-not-int",
-            "deadline-nan", "deadline-query-inf", "npy-not-npz"])
+            "deadline-nan", "deadline-query-inf", "npy-not-npz",
+            "invalid-utf8", "json-too-deep", "complex-clip",
+            "npz-wrong-shape", "npz-encrypted-flag", "npz-unknown-method",
+            "npz-corrupt-deflate", "npz-garbled-header"])
     def test_malformed_request_400_and_server_keeps_serving(
             self, server, conn, query, deadline, body, headers, needle):
         if body is None:
@@ -156,6 +223,22 @@ class TestPredict:
             assert post_npz(fresh, np.random.default_rng(5).random(GRID.shape)).status == 200
         finally:
             fresh.close()
+
+    def test_npz_shape_checked_before_decompressing(self):
+        """A 510 KB archive declaring 64×1024×1024 float64 (512 MiB) is
+        refused from its .npy header, not after inflating it."""
+        body = zeros_npz((64, 1024, 1024))
+        assert len(body) < 600_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(_HTTPError) as raised:
+                _parse_predict_payload(body, False, {}, GRID.shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert raised.value.status == 400
+        assert "(64, 1024, 1024)" in raised.value.message
+        assert peak < 16 * 2**20, f"parsing peaked at {peak / 2**20:.0f} MiB"
 
 
     def test_route_exception_is_500_json_and_server_keeps_serving(
