@@ -36,7 +36,9 @@ from repro.obs import (
     TraceContext, counter, record_lane_crash, span, use_context,
 )
 from repro.runtime.sync import make_condition, make_lock
-from repro.runtime.worker import ForkedWorker, WorkerDied, fork_available
+from repro.runtime.worker import (
+    ForkedWorker, WorkerDied, fork_available, limit_openblas_threads,
+)
 
 from .store import JobRecord, JobStore
 from .types import build_stepper
@@ -104,6 +106,10 @@ class JobExecutor:
                                         name="repro-jobs-executor")
 
     def start(self) -> "JobExecutor":
+        if self._use_fork:
+            # chunks fork from a process whose other threads may be
+            # running a served forward's BLAS products
+            limit_openblas_threads()
         self._thread.start()
         return self
 

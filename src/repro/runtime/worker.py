@@ -77,14 +77,17 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _limit_openblas_threads() -> None:
+def limit_openblas_threads() -> None:
     """Pin every OpenBLAS this process has loaded to one thread.
 
     The rigorous solver's lateral step is a BLAS matmul, which OpenBLAS
     threads once a product is large enough (a 128×128 slice is); in
-    workers those threads would multiply with the processes.  numpy has
-    no API for this, so the libraries are found through
-    ``/proc/self/maps`` and their thread count, the exported
+    workers those threads would multiply with the processes.  A process
+    that forks while other threads compute needs it too: OpenBLAS's fork
+    handler shuts its thread pool down, and that deadlocks, holding the
+    interpreter lock, when it lands while another thread is inside a
+    multithreaded product.  numpy has no API for this, so the libraries
+    are found through ``/proc/self/maps`` and their thread count, the exported
     ``blas_cpu_number``, is written directly.  OpenBLAS's own setter is
     the fallback only: in a forked child it first rebuilds the thread
     pool the fork shut down, and the new threads spin for about 0.1 s —
@@ -148,7 +151,7 @@ def _child_main(setup: Callable[[], Callable], conn) -> None:
     _OPEN_ENDS.clear()
     _OPEN_ENDS.add(conn)
     set_fft_workers(1)
-    _limit_openblas_threads()
+    limit_openblas_threads()
     try:
         handler = setup()
     except Exception as error:  # noqa: BLE001 - re-raised by the constructor

@@ -635,6 +635,9 @@ def _parse_predict_payload(body: bytes, as_json: bool, query: dict,
         raise _HTTPError(400, f"body is not a readable npz archive: {error}") from error
 
 
+_CLIENT_GONE = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
 class _Server(ThreadingHTTPServer):
     # Handler threads are daemons and server_close does not join them:
     # idle keep-alive connections would otherwise block shutdown
@@ -644,6 +647,13 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     block_on_close = False
     allow_reuse_address = True
+
+    def handle_error(self, request, client_address) -> None:
+        # a client that went away (say, reset an idle keep-alive
+        # connection) is not a server fault: print nothing for it
+        if isinstance(sys.exc_info()[1], _CLIENT_GONE):
+            return
+        super().handle_error(request, client_address)
 
 
 class PredictServer:

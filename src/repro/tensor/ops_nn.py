@@ -1,10 +1,17 @@
 """Convolution primitives (1D/3D, grouped, transposed) with backward rules.
 
-All convolutions are implemented with a loop over kernel offsets: for a
-``kd x kh x kw`` kernel the forward pass is ``kd*kh*kw`` strided einsums,
-which is both memory-friendly (no im2col blowup) and fast for the small
-kernels used in this project.  The same offset loop, run in scatter mode,
-yields the input gradient and the transposed convolution.
+A forward convolution runs one GEMM per tile of rows, with tiles sized
+so that no scratch buffer outgrows :data:`COLUMN_BYTES`.  The kernels
+take their output and a scratch allocator as arguments, so the autograd
+tape (numpy allocations) and the compiled plan (:mod:`repro.tensor.plan`,
+arena buffers) run the same code.  :func:`conv3d_kernel` gathers each
+tile's input windows into columns (im2col) and multiplies them straight
+into the output; a stride-1 convolution with fewer output than input
+channels per group (a one-channel head) instead multiplies every kernel
+offset's weights with the input at once and shift-adds the products.
+:func:`conv_transpose3d_kernel` is that second form with the shifts
+reversed.  The backward kernels loop over kernel offsets: ``kd*kh*kw``
+strided einsums, scattered for the input gradient.
 
 Shape conventions follow torch:
 
@@ -18,8 +25,13 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, ensure_tensor
+
+#: Bound in bytes on a convolution's column scratch (one row may exceed
+#: it); chosen by measurement, see docs/performance.md, "Convolution kernels".
+COLUMN_BYTES = 2 << 20
 
 
 def _triple(value) -> tuple[int, int, int]:
@@ -54,32 +66,157 @@ def _offset_slices(offset, stride, out_sizes):
     )
 
 
-def conv3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
-    """Raw-numpy grouped 3D cross-correlation.
+def _tiles(batch: int, depth: int, rows: int, row_bytes: int) -> list[tuple]:
+    """Tiles ``(b0, b1, d0, d1, h0, h1)`` of ``batch`` samples of ``depth x
+    rows`` rows, each at most :data:`COLUMN_BYTES` at ``row_bytes`` a row
+    (or one row): whole samples, else depth slices, else rows of a slice.
+    Tiles depend on the shapes alone; the first is the largest."""
+    fit = max(1, COLUMN_BYTES // max(row_bytes, 1))
+    if fit >= depth * rows:
+        step = fit // (depth * rows)
+        return [(b, min(b + step, batch), 0, depth, 0, rows)
+                for b in range(0, batch, step)]
+    if fit >= rows:
+        step = fit // rows
+        return [(b, b + 1, d, min(d + step, depth), 0, rows)
+                for b in range(batch) for d in range(0, depth, step)]
+    return [(b, b + 1, d, d + 1, h, min(h + fit, rows))
+            for b in range(batch) for d in range(depth) for h in range(0, rows, fit)]
 
-    Each kernel offset contributes one batched BLAS matmul over the
-    channel axis (``(G, O, C) @ (B, G, C, DHW)``), which is several times
-    faster than the equivalent ``einsum`` contraction while keeping the
-    per-offset accumulation order — and therefore run-to-run bitwise
-    determinism — unchanged.
-    """
-    stride, padding = _triple(stride), _triple(padding)
-    xp = _pad_spatial(x, padding)
+
+def _require_contiguous(*arrays) -> None:
+    # kernels bind views of their operands once, so a reshape must never copy
+    if not all(array.flags["C_CONTIGUOUS"] for array in arrays):
+        raise ValueError("convolution kernels need C-contiguous operands")
+
+
+def _im2col_gemm(out, x, w, stride, padding, groups, scratch):
+    """Bind ``out = conv3d(x, w)``: per tile, copy the input rows the tile
+    reads into a zero-padded box, gather the box's windows into columns
+    and multiply once, straight into the output."""
+    batch, cin, depth, height, width = x.shape
     cout, cg, kd, kh, kw = w.shape
+    do, ho, wo = out.shape[2:]
+    (sd, sh, sw), (pd, ph, pw) = stride, padding
+    k, wp = cg * kd * kh * kw, width + 2 * pw
+    wg = w.reshape(groups, cout // groups, k)
+    out_rows = out.reshape(batch, groups, cout // groups, do * ho * wo)
+    tiles = _tiles(batch, do, ho, groups * k * wo * x.itemsize)
+    b0, b1, d0, d1, h0, h1 = tiles[0]
+    cols = scratch(((b1 - b0) * (d1 - d0) * (h1 - h0) * cin * kd * kh * kw * wo,), x.dtype)
+    boxes = scratch(((b1 - b0) * cin * ((d1 - d0 - 1) * sd + kd)
+                     * ((h1 - h0 - 1) * sh + kh) * wp,), x.dtype)
+    steps = []
+    for b0, b1, d0, d1, h0, h1 in tiles:
+        nb, td, th = b1 - b0, d1 - d0, h1 - h0
+        nd, nh = (td - 1) * sd + kd, (th - 1) * sh + kh
+        zd, zh = d0 * sd - pd, h0 * sh - ph   # the box's first input slice and row
+        src = x[b0:b1, :, max(zd, 0):max(zd + nd, 0), max(zh, 0):max(zh + nh, 0)]
+        box = boxes[:nb * cin * nd * nh * wp].reshape(nb, cin, nd, nh, wp)
+        interior = box[:, :, max(-zd, 0):max(-zd, 0) + src.shape[2],
+                       max(-zh, 0):max(-zh, 0) + src.shape[3], pw:pw + width]
+        windows = sliding_window_view(box, (kd, kh, kw), axis=(2, 3, 4))
+        windows = windows[:, :, ::sd, ::sh, ::sw].transpose(0, 1, 5, 6, 7, 2, 3, 4)
+        col = cols[:windows.size]
+        target = out_rows[b0:b1, :, :, (d0 * ho + h0) * wo:((d1 - 1) * ho + h1) * wo]
+        steps.append((box, interior, src, col.reshape(windows.shape), windows,
+                      col.reshape(nb, groups, k, td * th * wo), target))
+
+    def run():
+        for box, interior, src, col8, windows, col, target in steps:
+            box.fill(0.0)
+            np.copyto(interior, src)
+            np.copyto(col8, windows)
+            np.matmul(wg, col, out=target)
+
+    return run
+
+
+def _hits(q0: int, q1: int, stride: int, shift: int, size: int):
+    """Input positions ``q`` in ``[q0, q1)`` that land inside an output of
+    ``size`` at ``q * stride + shift``: (tile-local source slice, output
+    slice), or None when there are none."""
+    lo = max(q0, -(shift // stride))
+    hi = min(q1, (size - 1 - shift) // stride + 1)
+    if lo >= hi:
+        return None
+    return (slice(lo - q0, hi - q0),
+            slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride))
+
+
+def _gemm_shift_add(out, x, w6, stride, padding, sign, scratch):
+    """Bind ``out[b, g, o, q*stride + sign*(t - padding)] += w6[g, o, :, t] @ x[b, g, :, q]``
+    over input positions ``q`` and kernel offsets ``t`` (per axis), where
+    ``w6`` is ``(G, O, C, kd, kh, kw)``: one GEMM per tile multiplies every
+    offset's weights at once, then each product is added at its shift."""
+    groups, og, cg, kd, kh, kw = w6.shape
+    taps = kd * kh * kw
+    batch, _, depth, height, width = x.shape
+    do, ho, wo = out.shape[2:]
+    wt = scratch((groups, taps * og, cg), w6.dtype)
+    x_rows = x.reshape(batch, groups, cg, depth * height * width)
+    out6 = out.reshape(batch, groups, og, do, ho, wo)
+    tiles = _tiles(batch, depth, height, groups * taps * og * width * out.itemsize)
+    b0, b1, d0, d1, h0, h1 = tiles[0]
+    prods = scratch(((b1 - b0) * (d1 - d0) * (h1 - h0) * groups * taps * og * width,),
+                    out.dtype)
+    steps = []
+    for b0, b1, d0, d1, h0, h1 in tiles:
+        nb, td, th = b1 - b0, d1 - d0, h1 - h0
+        prod = prods[:nb * groups * taps * og * td * th * width]
+        prod9 = prod.reshape(nb, groups, kd, kh, kw, og, td, th, width)
+        adds = []
+        for i, j, k in itertools.product(range(kd), range(kh), range(kw)):
+            shift = [sign * (t - p) for t, p in zip((i, j, k), padding)]
+            hits = (_hits(d0, d1, stride[0], shift[0], do),
+                    _hits(h0, h1, stride[1], shift[1], ho),
+                    _hits(0, width, stride[2], shift[2], wo))
+            if None in hits:
+                continue
+            (qd, od), (qh, oh), (qw, ow) = hits
+            adds.append((out6[b0:b1, :, :, od, oh, ow], prod9[:, :, i, j, k, :, qd, qh, qw]))
+        steps.append((x_rows[b0:b1, :, :, (d0 * height + h0) * width:((d1 - 1) * height + h1) * width],
+                       prod.reshape(nb, groups, taps * og, td * th * width), adds))
+
+    def run():
+        np.copyto(wt.reshape(groups, kd, kh, kw, og, cg), w6.transpose(0, 3, 4, 5, 1, 2))
+        out.fill(0.0)
+        for src, prod, adds in steps:
+            np.matmul(wt, src, out=prod)
+            for target, part in adds:
+                np.add(target, part, out=target)
+
+    return run
+
+
+def conv3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.empty):
+    """Bind the grouped 3D cross-correlation ``out = conv3d(x, w)``: return a
+    callable computing it from the current contents of ``x`` and ``w``
+    (all C-contiguous), with scratch taken once from ``scratch(shape,
+    dtype)``.  The same shapes run the same GEMMs, so results are bitwise
+    reproducible and the tape and a compiled plan agree bitwise."""
+    stride, padding = _triple(stride), _triple(padding)
+    _require_contiguous(out, x, w)
+    if out.size == 0 or x.size == 0:
+        return lambda: out.fill(0.0)
+    cout, cg, kd, kh, kw = w.shape
+    if stride == (1, 1, 1) and cout // groups < cg:
+        # out[p] gathers x[p + t - padding], so x[q] lands at q - (t - padding)
+        w6 = w.reshape(groups, cout // groups, cg, kd, kh, kw)
+        return _gemm_shift_add(out, x, w6, stride, padding, -1, scratch)
+    return _im2col_gemm(out, x, w, stride, padding, groups, scratch)
+
+
+def conv3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
+    """Raw-numpy grouped 3D cross-correlation (see :func:`conv3d_kernel`)."""
+    stride, padding = _triple(stride), _triple(padding)
     out_sizes = tuple(
-        _out_size(x.shape[2 + i], (kd, kh, kw)[i], stride[i], padding[i]) for i in range(3)
+        _out_size(x.shape[2 + i], w.shape[2 + i], stride[i], padding[i]) for i in range(3)
     )
-    xg = _grouped(xp, groups)
-    wg = w.reshape(groups, cout // groups, cg, kd, kh, kw)
-    voxels = int(np.prod(out_sizes))
-    batch = x.shape[0]
-    out = np.zeros((batch, groups, cout // groups, voxels), dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, out_sizes)
-        patch = xg[(slice(None), slice(None), slice(None)) + sl]
-        out += np.matmul(wg[:, :, :, offset[0], offset[1], offset[2]],
-                         patch.reshape(batch, groups, cg, voxels))
-    return out.reshape(batch, cout, *out_sizes)
+    out = np.empty((x.shape[0], w.shape[0]) + out_sizes, dtype=x.dtype)
+    conv3d_kernel(out, np.ascontiguousarray(x), np.ascontiguousarray(w),
+                  stride, padding, groups)()
+    return out
 
 
 def conv3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, groups: int) -> np.ndarray:
@@ -122,33 +259,31 @@ def conv3d_grad_weight(gout: np.ndarray, x: np.ndarray, w_shape, stride, padding
     return gw.reshape(w_shape)
 
 
-def conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, output_padding, groups: int) -> np.ndarray:
-    """Raw-numpy grouped transposed 3D convolution (scatter form)."""
-    stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
+def conv_transpose3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.empty):
+    """Bind the grouped transposed convolution ``out = conv_transpose3d(x, w)``
+    as :func:`conv3d_kernel` binds a convolution: input voxel ``q`` and offset
+    ``t`` land at ``q * stride + t - padding``, and ``out``'s shape carries
+    any output padding."""
+    stride, padding = _triple(stride), _triple(padding)
+    _require_contiguous(out, x, w)
+    if out.size == 0 or x.size == 0:
+        return lambda: out.fill(0.0)
     cin, og, kd, kh, kw = w.shape
-    in_sizes = x.shape[2:]
-    full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i] for i in range(3)
+    w6 = w.reshape(groups, cin // groups, og, kd, kh, kw).transpose(0, 2, 1, 3, 4, 5)
+    return _gemm_shift_add(out, x, w6, stride, padding, 1, scratch)
+
+
+def conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, output_padding, groups: int) -> np.ndarray:
+    """Raw-numpy grouped transposed 3D convolution (see :func:`conv_transpose3d_kernel`)."""
+    stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
+    out_sizes = tuple(
+        (x.shape[2 + i] - 1) * stride[i] + w.shape[2 + i] + output_padding[i] - 2 * padding[i]
+        for i in range(3)
     )
-    xg = _grouped(x, groups)
-    wg = w.reshape(groups, cin // groups, og, kd, kh, kw)
-    batch = x.shape[0]
-    voxels = int(np.prod(in_sizes))
-    xm = xg.reshape(batch, groups, cin // groups, voxels)
-    full = np.zeros((batch, groups, og) + full_sizes, dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, in_sizes)
-        w_off = np.swapaxes(wg[:, :, :, offset[0], offset[1], offset[2]], -1, -2)
-        contrib = np.matmul(w_off, xm).reshape(batch, groups, og, *in_sizes)
-        full[(slice(None), slice(None), slice(None)) + sl] += contrib
-    pd, ph, pw = padding
-    crop = (
-        slice(pd, full_sizes[0] - pd),
-        slice(ph, full_sizes[1] - ph),
-        slice(pw, full_sizes[2] - pw),
-    )
-    out = full[(slice(None), slice(None), slice(None)) + crop]
-    return out.reshape(x.shape[0], groups * og, *out.shape[3:])
+    out = np.empty((x.shape[0], groups * w.shape[1]) + out_sizes, dtype=x.dtype)
+    conv_transpose3d_kernel(out, np.ascontiguousarray(x), np.ascontiguousarray(w),
+                            stride, padding, groups)()
+    return out
 
 
 def conv_transpose3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, output_padding, groups: int) -> np.ndarray:

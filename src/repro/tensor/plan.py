@@ -32,14 +32,16 @@ Identity contract
 -----------------
 Every kernel replicates the tape op's exact numpy expression — same
 ufuncs, same operand order, same memory layouts — so a replay is
-**bitwise identical** to the tape forward for the same input.  This is
-enforced, not assumed: after compiling, :func:`capture` replays the
-capture input and compares bitwise against the traced output, then runs
-a second, independently generated input through both the plan and the
-tape.  The second input catches data-dependent constants baked into a
-plan by accident (the classic trace-compiler bug); any mismatch raises
-:class:`PlanCaptureError` so callers degrade to the tape rather than
-serve wrong answers.
+**bitwise identical** to the tape forward for the same input.  The
+convolutions do not replicate: their builders bind the tape's own
+kernels (:func:`repro.tensor.ops_nn.conv3d_kernel`) to arena buffers.
+The identity is enforced, not assumed: after compiling, :func:`capture`
+replays the capture input and compares bitwise against the traced
+output, then runs a second, independently generated input through both
+the plan and the tape.  The second input catches data-dependent
+constants baked into a plan by accident (the classic trace-compiler
+bug); any mismatch raises :class:`PlanCaptureError` so callers degrade
+to the tape rather than serve wrong answers.
 
 Kernels for ops defined outside ``repro.tensor`` (the SSM scan, the LTI
 FFT convolution) register themselves via :func:`register_kernel`, which
@@ -48,11 +50,11 @@ keeps the dependency arrow pointing the right way.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
 
+from .ops_nn import conv3d_kernel, conv_transpose3d_kernel
 from .tensor import Tensor, _state, no_grad
 
 __all__ = [
@@ -91,10 +93,6 @@ def register_kernel(name: str):
         return fn
 
     return _register
-
-
-def has_kernel(name: str) -> bool:
-    return name in _KERNELS
 
 
 # ----------------------------------------------------------------------
@@ -319,23 +317,6 @@ class _Ctx:
         buffer, _ = self._compiler.alloc_buffer(shape, np.dtype(dtype),
                                                 last=self._compiler.index)
         return buffer
-
-    def alloc_for_out(self, shape, dtype) -> np.ndarray:
-        """A backing buffer (shaped unlike the output value) that must
-        live as long as the output; bind the output to a view of it with
-        :meth:`bind_output`.  Used when the tape op's result is itself a
-        strided view into a larger work array (e.g. the transposed
-        convolution's cropped scatter buffer)."""
-        comp, step = self._compiler, self._step
-        buffer, storage_index = comp.alloc_buffer(
-            shape, np.dtype(dtype), last=comp.slot_last_of(step.out_slot))
-        self._pending_storage = storage_index
-        return buffer
-
-    def bind_output(self, array: np.ndarray) -> None:
-        comp, step = self._compiler, self._step
-        comp.bind_out(step.out_slot, array, self._pending_storage)
-        self._out_assigned = True
 
     def emit(self, fn) -> None:
         self._compiler.program.append(fn)
@@ -790,138 +771,19 @@ def _build_stack(ctx):
     ctx.emit(_stack)
 
 
-# -- convolutions: the tape's offset-loop einsums with every view and
-#    scratch preallocated; accumulation order is unchanged -------------
-def _triple(value) -> tuple[int, int, int]:
-    if isinstance(value, (tuple, list)):
-        return tuple(int(v) for v in value)
-    return (int(value),) * 3
-
-
-@register_kernel("conv3d")
-def _build_conv3d(ctx):
-    stride = _triple(ctx.params["stride"])
-    padding = _triple(ctx.params["padding"])
-    groups = ctx.params["groups"]
-    x = ctx.contiguous_inp(0)
-    w = ctx.contiguous_inp(1)
-    batch, cin = x.shape[:2]
-    cout, cg, kd, kh, kw = w.shape
-    out_sizes = ctx.out_shape[2:]
-    voxels = int(np.prod(out_sizes))
-    if any(padding):
-        padded = tuple(x.shape[2 + i] + 2 * padding[i] for i in range(3))
-        xp = ctx.scratch((batch, cin) + padded, x.dtype)
-        interior = xp[(slice(None), slice(None))
-                      + tuple(slice(p, p + n) for p, n in zip(padding, x.shape[2:]))]
-
-        def _fill(xp=xp, interior=interior, x=x):
-            xp.fill(0.0)
-            np.copyto(interior, x)
-
-        ctx.emit(_fill)
-    else:
-        xp = x
-    xg = xp.reshape(batch, groups, cin // groups, *xp.shape[2:])
-    wg = w.reshape(groups, cout // groups, cg, kd, kh, kw)
-    out, _ = ctx.alloc_out()
-    out4 = out.reshape(batch, groups, cout // groups, voxels)
-    accum = ctx.scratch(out4.shape, x.dtype)
-    patch_buf = ctx.scratch((batch, groups, cg, voxels), x.dtype)
-    patch6 = patch_buf.reshape((batch, groups, cg) + tuple(out_sizes))
-    taps = []
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_sizes))
-        patch = xg[(slice(None), slice(None), slice(None)) + sl]
-        flat = patch.reshape(batch, groups, cg, voxels) \
-            if np.shares_memory(patch.reshape(batch, groups, cg, voxels), xg) else None
-        taps.append((patch, flat, wg[:, :, :, offset[0], offset[1], offset[2]]))
-    rng = np.random.default_rng(0)
-    probe_patch = rng.random((batch, groups, cg, voxels)).astype(x.dtype, copy=False)
-    matmul_out = _out_form_is_bitwise(np.matmul, (taps[0][2], probe_patch),
-                                      out4.shape, accum.dtype)
-
-    def _conv(out4=out4, accum=accum, patch_buf=patch_buf, patch6=patch6,
-              taps=taps, matmul_out=matmul_out):
-        out4.fill(0.0)
-        for patch, flat, w_off in taps:
-            if flat is None:
-                np.copyto(patch6, patch)
-                flat = patch_buf
-            if matmul_out:
-                np.matmul(w_off, flat, out=accum)
-            else:
-                np.copyto(accum, np.matmul(w_off, flat))
-            np.add(out4, accum, out=out4)
-
-    ctx.emit(_conv)
-
-
-@register_kernel("conv_transpose3d")
-def _build_conv_transpose3d(ctx):
-    stride = _triple(ctx.params["stride"])
-    padding = _triple(ctx.params["padding"])
-    output_padding = _triple(ctx.params["output_padding"])
-    groups = ctx.params["groups"]
-    x = ctx.contiguous_inp(0)
-    w = ctx.contiguous_inp(1)
-    batch, cin = x.shape[:2]
-    _, og, kd, kh, kw = w.shape
-    in_sizes = x.shape[2:]
-    full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i]
-        for i in range(3))
-    xg = x.reshape(batch, groups, cin // groups, *in_sizes)
-    voxels = int(np.prod(in_sizes))
-    xm = xg.reshape(batch, groups, cin // groups, voxels)
-    if not np.shares_memory(xm, x):
-        ctx.fail("input could not be viewed in matmul layout")
-    wg = w.reshape(groups, cin // groups, og, kd, kh, kw)
-    cap_out = ctx._compiler.slots[ctx._step.out_slot].value
-    if cap_out.flags["C_CONTIGUOUS"]:
-        full = ctx.scratch((batch, groups, og) + full_sizes, x.dtype)
-    else:
-        # the tape's reshape of the cropped scatter buffer was a view, so
-        # the plan's output must be the same strided view (BLAS consumers
-        # dispatch on strides); the full buffer becomes the output storage
-        full = ctx.alloc_for_out((batch, groups, og) + full_sizes, x.dtype)
-    accum = ctx.scratch((batch, groups, og, voxels), x.dtype)
-    accum6 = accum.reshape((batch, groups, og) + tuple(in_sizes))
-    taps = []
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, in_sizes))
-        target = full[(slice(None), slice(None), slice(None)) + sl]
-        w_off = np.swapaxes(wg[:, :, :, offset[0], offset[1], offset[2]], -1, -2)
-        taps.append((target, w_off))
-    pd, ph, pw = padding
-    crop = full[(slice(None), slice(None), slice(None),
-                 slice(pd, full_sizes[0] - pd), slice(ph, full_sizes[1] - ph),
-                 slice(pw, full_sizes[2] - pw))]
-    rng = np.random.default_rng(0)
-    probe_x = rng.random(xm.shape).astype(x.dtype, copy=False)
-    matmul_out = _out_form_is_bitwise(np.matmul, (taps[0][1], probe_x),
-                                      accum.shape, accum.dtype)
-
-    def _scatter(full=full, xm=xm, accum=accum, accum6=accum6, taps=taps,
-                 matmul_out=matmul_out):
-        full.fill(0.0)
-        for target, w_off in taps:
-            if matmul_out:
-                np.matmul(w_off, xm, out=accum)
-            else:
-                np.copyto(accum, np.matmul(w_off, xm))
-            np.add(target, accum6, out=target)
-
-    ctx.emit(_scatter)
-    if cap_out.flags["C_CONTIGUOUS"]:
+# -- convolutions: the tape's own kernels, bound to arena buffers ------
+def _register_conv(name: str, kernel):
+    @register_kernel(name)
+    def _build(ctx, kernel=kernel):
+        params = ctx.params
+        x, w = ctx.contiguous_inp(0), ctx.contiguous_inp(1)
         out, _ = ctx.alloc_out()
-        dst = out.reshape(crop.shape)
-        ctx.emit(lambda dst=dst, crop=crop: np.copyto(dst, crop))
-    else:
-        view = crop.reshape(cap_out.shape)
-        if not np.shares_memory(view, full) or view.strides != cap_out.strides:
-            ctx.fail("could not replicate the tape's cropped-view layout")
-        ctx.bind_output(view)
+        ctx.emit(kernel(out, x, w, params["stride"], params["padding"], params["groups"],
+                        scratch=ctx.scratch))
+
+
+_register_conv("conv3d", conv3d_kernel)
+_register_conv("conv_transpose3d", conv_transpose3d_kernel)
 
 
 # ----------------------------------------------------------------------

@@ -153,8 +153,30 @@ class TestRuntimeExperiment:
     def test_run_micro(self, tmp_path):
         settings = micro_settings(tmp_path)
         rigorous, rows = runtime_exp.run(settings)
-        assert rigorous > 0.0
+        assert rigorous.seconds > 0.0
         assert len(rows) == len(TABLE2_METHODS)
         assert all(r.seconds > 0.0 for r in rows)
         text = runtime_exp.format_table(rigorous, rows)
         assert "speedup" in text
+
+    def test_rows_are_distributions(self):
+        """Each row is a median with quartiles over repeated runs, and a
+        speedup is the ratio of medians, printed with one decimal."""
+        rigorous, rows = runtime_exp.run(ExperimentSettings.quick())
+        assert rigorous.name == "Rigorous (ours)"
+        assert rigorous.runs >= 3 and rigorous.speedup_vs_rigorous == 1.0
+        assert [row.name for row in rows] == list(TABLE2_METHODS)
+        for row in [rigorous] + rows:
+            assert 0.0 < row.q1_s <= row.seconds <= row.q3_s
+            assert row.runs >= (3 if row is rigorous else 5)
+        for row in rows:
+            assert row.speedup_vs_rigorous == pytest.approx(rigorous.seconds / row.seconds)
+        text = runtime_exp.format_table(rigorous, rows)
+        for row in [rigorous] + rows:
+            assert f"{row.speedup_vs_rigorous:.1f}x" in text
+            assert f"[{row.q1_s:.3f}, {row.q3_s:.3f}]" in text
+
+    def test_from_times(self):
+        row = runtime_exp.RuntimeRow.from_times("m", [0.4, 0.1, 0.2, 0.3, 0.5], reference=0.6)
+        assert (row.q1_s, row.seconds, row.q3_s, row.runs) == (0.2, 0.3, 0.4, 5)
+        assert row.speedup_vs_rigorous == pytest.approx(2.0)

@@ -8,6 +8,9 @@ flag + ``child_pid`` land the SIGKILL deterministically inside a chunk.
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -281,3 +284,42 @@ class TestDrainSemantics:
                 timeout_s=5.0)
         finally:
             executor.close()
+
+
+class TestForksBesideProducts:
+    def test_chunk_forks_survive_multithreaded_blas(self, tmp_path):
+        """OpenBLAS's fork handler deadlocks, holding the interpreter lock,
+        when a fork lands while another thread is inside a multithreaded
+        product: a job chunk forked beside a served forward.  A started
+        executor keeps BLAS single-threaded, so such forks survive."""
+        script = textwrap.dedent(f"""
+            import os, threading, time
+            import numpy as np
+            from repro.jobs import JobExecutor, JobStore
+            executor = JobExecutor(JobStore({str(tmp_path / "jobs")!r})).start()
+            stop = threading.Event()
+
+            def products():
+                a, b = np.ones((200, 200)), np.ones((200, 400))
+                while not stop.is_set():
+                    a @ b
+
+            thread = threading.Thread(target=products)
+            thread.start()
+            deadline, forks = time.monotonic() + 2.0, 0
+            while time.monotonic() < deadline:
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(0)
+                os.waitpid(pid, 0)
+                forks += 1
+            stop.set()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            executor.close()
+            print("forks", forks)
+        """)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("forks ")

@@ -3,7 +3,9 @@
 import io
 import json
 import math
+import socket
 import struct
+import threading
 import tracemalloc
 import zlib
 from http.client import HTTPConnection
@@ -48,6 +50,12 @@ def conn(server):
     connection = HTTPConnection(host, port, timeout=30)
     yield connection
     connection.close()
+
+
+def handler_threads() -> set[threading.Thread]:
+    """The live threads the HTTP server runs connections on."""
+    return {thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name}
 
 
 def npy_bytes(array) -> bytes:
@@ -242,7 +250,7 @@ class TestPredict:
 
 
     def test_route_exception_is_500_json_and_server_keeps_serving(
-            self, server, monkeypatch):
+            self, server, monkeypatch, capfd):
         instance, _ = server
 
         def broken_listing():
@@ -258,11 +266,37 @@ class TestPredict:
             assert "listing exploded" in json.loads(response.read())["error"]
         finally:
             connection.close()
+        # a server fault still prints its traceback before the 500 goes out
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: listing exploded" in err
         fresh = HTTPConnection(*instance.address, timeout=30)
         try:
             assert post_npz(fresh, np.random.default_rng(6).random(GRID.shape)).status == 200
         finally:
             fresh.close()
+
+    def test_client_reset_prints_no_traceback(self, server, capfd):
+        """A client that resets its connection went away; that is no
+        server fault, so the handler thread prints nothing."""
+        instance, _ = server
+        before = handler_threads()
+        raw = socket.create_connection(instance.address, timeout=30)
+        raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        # linger on with a zero timeout: close() sends RST, not FIN
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.close()
+        fresh = HTTPConnection(*instance.address, timeout=30)
+        try:
+            fresh.request("GET", "/healthz")
+            response = fresh.getresponse()
+            assert response.status == 200
+            response.read()
+        finally:
+            fresh.close()
+        for thread in handler_threads() - before:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestIntrospection:
