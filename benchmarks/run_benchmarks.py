@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf regression harness: time the hot paths, record ``BENCH_perf.json``.
 
-Seven sections, each a dict of timings/counters:
+Nine sections, each a dict of timings/counters:
 
 * ``scan``     — forward and forward+backward wall time of the two scan
   kernels at a training-typical (B, L, C, N);
@@ -29,10 +29,6 @@ Seven sections, each a dict of timings/counters:
   sanitizer (``repro.runtime.sync``) instrumenting every serve/obs lock
   vs off (delegates to ``run_serve_bench.bench_sanitize_overhead``;
   both p50s are gated and the run must stay violation-free);
-* ``inference_plan`` — served p50 with the compiled-plan engine vs the
-  tape engine at a matched batch composition (delegates to
-  ``run_serve_bench.bench_inference_plan``; the speedup ratio is gated
-  as a lower bound through ``gates.inference_plan_min_speedup``);
 * ``jobs`` — gradient-based OPC (the ``opc_gradient`` job workload) vs
   perturbation-based ``calibrate_mask_bias`` on the same clip and PEB
   backend: final CD-RMSE and forward-solve counts for both, gated so
@@ -330,22 +326,13 @@ def check_gates(sections: dict, reference_path: Path) -> list[str]:
 
     Unlike :func:`check_regressions` (which caps how much slower a
     timing may get), a gate pins a quality bar that must keep holding —
-    e.g. the compiled-plan engine staying at least ``N``x faster than
-    the tape at the served p50.
+    e.g. gradient OPC staying at least ``N``x cheaper in forward solves
+    than perturbation calibration.
     """
     if not reference_path.exists():
         return []
     gates = json.loads(reference_path.read_text()).get("gates", {})
     failures = []
-    min_speedup = gates.get("inference_plan_min_speedup")
-    section = sections.get("inference_plan")
-    if min_speedup is not None and section is not None:
-        speedup = float(section.get("p50_speedup", 0.0))
-        status = "FAIL" if speedup < min_speedup else "ok"
-        print(f"  {status:>4}  inference_plan.p50_speedup: {speedup:.2f}x "
-              f"(gate >= {min_speedup:.2f}x)")
-        if speedup < min_speedup:
-            failures.append("inference_plan.p50_speedup")
     min_scaling = gates.get("serving_scaling_min_speedup_2v1")
     scaling = (sections.get("serving") or {}).get("worker_scaling")
     if min_scaling is not None and scaling is not None:
@@ -422,8 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from run_serve_bench import (
-        bench_inference_plan, bench_obs_overhead, bench_sanitize_overhead,
-        bench_serving,
+        bench_obs_overhead, bench_sanitize_overhead, bench_serving,
     )
 
     sections = {}
@@ -432,7 +418,6 @@ def main(argv=None) -> int:
                      ("stages", bench_stages), ("serving", bench_serving),
                      ("obs_overhead", bench_obs_overhead),
                      ("sanitize_overhead", bench_sanitize_overhead),
-                     ("inference_plan", bench_inference_plan),
                      ("jobs", bench_jobs)):
         print(f"[{name}] ...", flush=True)
         sections[name] = fn(args.smoke)

@@ -62,20 +62,18 @@ BENCH_METHOD = "DeepCNN"
 
 def _bench_server(tmp_dir: Path, policy: BatchPolicy,
                   health: HealthConfig | None = None,
-                  engine: str | None = None,
-                  method: str = BENCH_METHOD,
                   workers: int = 1,
                   serve_kwargs: dict | None = None) -> PredictServer:
     """A server over a freshly published tiny checkpoint (untrained weights —
     serving latency does not depend on what the parameters converged to)."""
     tmp_dir.mkdir(parents=True, exist_ok=True)
     nn.init.seed(0)
-    model, _ = build_method(method, BENCH_GRID)
+    model, _ = build_method(BENCH_METHOD, BENCH_GRID)
     model.set_output_stats(0.5, 1.0)
-    save_checkpoint(model, tmp_dir / "bench.npz", method=method,
+    save_checkpoint(model, tmp_dir / "bench.npz", method=BENCH_METHOD,
                     grid=BENCH_GRID, name="bench")
     loaded, manifest = load_checkpoint(tmp_dir / "bench.npz")
-    served = ServedModel(loaded, manifest, policy, health=health, engine=engine,
+    served = ServedModel(loaded, manifest, policy, health=health,
                          workers=workers)
     # telemetry + flight default ON in ServeConfig; benchmarks measure the
     # bare serving path unless a leg opts back in through serve_kwargs
@@ -159,7 +157,7 @@ def _percentile(latencies: list[float], q: float) -> float:
     return float(np.percentile(np.asarray(latencies), q)) if latencies else 0.0
 
 
-def bench_serving(smoke: bool, engine: str | None = None) -> dict:
+def bench_serving(smoke: bool) -> dict:
     """The ``serving`` section of ``BENCH_perf.json``."""
     import tempfile
 
@@ -169,7 +167,7 @@ def bench_serving(smoke: bool, engine: str | None = None) -> dict:
                          cache_entries=128)
     reset_metrics()
     with tempfile.TemporaryDirectory() as tmp:
-        server = _bench_server(Path(tmp), policy, engine=engine)
+        server = _bench_server(Path(tmp), policy)
         try:
             # warm-up: first forward pays one-time lazy-init costs
             _drive(server, 2, 2, repeat_fraction=0.0, seed=1)
@@ -200,7 +198,6 @@ def bench_serving(smoke: bool, engine: str | None = None) -> dict:
     return {
         "clients": num_clients,
         "requests_per_client": requests_per_client,
-        "engine": engine or "tape",
         "grid": list(BENCH_GRID.shape),
         "completed": completed,
         "rejected": run["rejected"],
@@ -251,7 +248,7 @@ def bench_worker_scaling(smoke: bool) -> dict:
             server = _bench_server(Path(tmp) / f"w{workers}", policy,
                                    workers=workers)
             try:
-                # warm-up covers the workers' first forward and plan capture
+                # warm-up covers the workers' first forward
                 _drive(server, 2, 2, repeat_fraction=0.0, seed=1)
                 run = _drive(server, num_clients, requests_per_client,
                              repeat_fraction=0.0, seed=5)
@@ -282,64 +279,6 @@ def bench_worker_scaling(smoke: bool) -> dict:
         "requests_per_client": requests_per_client,
         "curve": curve,
         "speedup_2v1": t2 / t1 if t1 > 0 else 0.0,
-    }
-
-
-def bench_inference_plan(smoke: bool) -> dict:
-    """The ``inference_plan`` section: served p50 with the compiled-plan
-    engine vs the tape engine at a matched batch composition.
-
-    One closed-loop client with ``max_batch_size=1`` pins every forward
-    to the same batch shape — the only variable between the two runs is
-    the engine.  The plan run's warm-up drive pays the one-time capture
-    cost; the measured window is pure replay.  ``p50_speedup`` is gated
-    (lower bound) through ``gates.inference_plan_min_speedup`` in
-    ``reference_perf.json``.
-    """
-    import tempfile
-
-    from repro.serve import clear_plan_cache, plan_cache_stats
-
-    requests = 30 if smoke else 60
-    method = "SDM-PEB"
-    policy = BatchPolicy(max_batch_size=1, max_wait_ms=0.0, max_queue=64,
-                         cache_entries=0)
-    runs: dict[str, dict] = {}
-    reset_metrics()
-    clear_plan_cache()
-    with tempfile.TemporaryDirectory() as tmp:
-        for engine in ("tape", "plan"):
-            server = _bench_server(Path(tmp) / engine, policy, engine=engine,
-                                   method=method)
-            try:
-                # warm-up: lazy init; for the plan engine the first
-                # request of the shape pays capture + validation here
-                _drive(server, 1, 6, repeat_fraction=0.0, seed=2)
-                runs[engine] = _drive(server, 1, requests,
-                                      repeat_fraction=0.0, seed=21)
-            finally:
-                server.shutdown()
-    plans = plan_cache_stats()
-    clear_plan_cache()
-    tape_p50 = _percentile(runs["tape"]["latencies_s"], 50)
-    plan_p50 = _percentile(runs["plan"]["latencies_s"], 50)
-    return {
-        "method": method,
-        "grid": list(BENCH_GRID.shape),
-        "requests": requests,
-        "completed_tape": len(runs["tape"]["latencies_s"]),
-        "completed_plan": len(runs["plan"]["latencies_s"]),
-        "tape_p50_s": tape_p50,
-        "plan_p50_s": plan_p50,
-        "tape_p95_s": _percentile(runs["tape"]["latencies_s"], 95),
-        "plan_p95_s": _percentile(runs["plan"]["latencies_s"], 95),
-        "p50_speedup": tape_p50 / plan_p50 if plan_p50 > 0 else 0.0,
-        "plans_compiled": plans["plans"],
-        "plan_capture_failures": plans["capture_failures"],
-        "plan_fallbacks": plans["fallbacks"],
-        "plan_replays": plans["replays"],
-        "plan_arena_bytes": plans["arena_bytes"],
-        "plan_capture_total_s": plans["capture_s_total"],
     }
 
 
@@ -502,8 +441,7 @@ def merge_into_bench_json(section: dict, out_path: Path,
     keys = {"serving": ("latency_p50_s", "latency_p95_s", "latency_p99_s"),
             "obs_overhead": ("baseline_p95_s", "monitored_p95_s",
                              "telemetry_p50_s"),
-            "sanitize_overhead": ("baseline_p50_s", "sanitized_p50_s"),
-            "inference_plan": ("tape_p50_s", "plan_p50_s")}[name]
+            "sanitize_overhead": ("baseline_p50_s", "sanitized_p50_s")}[name]
     for key in keys:
         timings[f"{name}.{key}"] = section[key]
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -520,14 +458,10 @@ def main(argv=None) -> int:
     parser.add_argument("--clients", type=int, default=None,
                         help="override concurrent client count (default 8)")
     parser.add_argument("--requests-per-client", type=int, default=None)
-    parser.add_argument("--engine", choices=("tape", "plan"), default=None,
-                        help="forward-pass engine for the serving section "
-                             "(default: tape; the inference_plan section "
-                             "always measures both)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_perf.json"))
     args = parser.parse_args(argv)
 
-    section = bench_serving(args.smoke, engine=args.engine) \
+    section = bench_serving(args.smoke) \
         if args.clients is None else _custom(args)
     for key, value in section.items():
         print(f"    {key}: {value}")
@@ -549,13 +483,6 @@ def main(argv=None) -> int:
                                         name="sanitize_overhead")
         print(f"wrote sanitize_overhead section to {args.out}")
 
-        plan_section = bench_inference_plan(args.smoke)
-        for key, value in plan_section.items():
-            print(f"    {key}: {value}")
-        payload = merge_into_bench_json(plan_section, Path(args.out),
-                                        name="inference_plan")
-        print(f"wrote inference_plan section to {args.out}")
-
     if args.check:
         from run_benchmarks import check_gates, check_regressions
 
@@ -563,7 +490,7 @@ def main(argv=None) -> int:
         failures = check_regressions(payload["timings"], REFERENCE_PATH)
         gated = [f for f in failures
                  if f.startswith(("serving.", "obs_overhead.",
-                                  "sanitize_overhead.", "inference_plan."))]
+                                  "sanitize_overhead."))]
         gated += check_gates(payload.get("sections", {}), REFERENCE_PATH)
         if gated:
             print(f"SERVING PERF REGRESSION: {', '.join(gated)}")

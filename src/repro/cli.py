@@ -254,7 +254,7 @@ def cmd_serve(args) -> int:
         previous[signum] = signal.signal(signum, lambda *_: stop.set())
     try:
         served = [ServedModel(model, manifest, policy, health=health,
-                              engine=args.engine, workers=args.serve_workers)
+                              workers=args.serve_workers)
                   for model, manifest in loaded]
     except ValueError as error:
         for signum, handler in previous.items():
@@ -295,7 +295,7 @@ def cmd_serve(args) -> int:
                    else "in-process")
         print(f"serving {m.name} v{m.version} ({m.model_class}, "
               f"{m.param_count} params, grid {tuple(m.grid_config().shape)}, "
-              f"engine {entry.engine}, {backend})")
+              f"{backend})")
     routes = "POST /v1/predict, GET /v1/models /healthz /metrics"
     if not args.no_telemetry:
         routes += " /v1/telemetry /dashboard"
@@ -534,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded request queue; overflow is rejected with 503")
     p.add_argument("--cache-size", type=int, default=128,
                    help="LRU response-cache entries (0 disables)")
-    p.add_argument("--engine", choices=("tape", "plan"), default=None,
-                   help="forward-pass engine: 'tape' replays the autograd "
-                        "tape per batch, 'plan' compiles one inference plan "
-                        "per batch shape and replays it (default: "
-                        "REPRO_INFER_PLAN env, else tape)")
     p.add_argument("--serve-workers", type=int, default=None, metavar="N",
                    help="forked prediction worker processes serving the "
                         "parent's model read-only; each batch goes to a "

@@ -5,11 +5,9 @@ from .harness import (
     build_method, build_ablation, prepare_data, train_method,
     evaluate_method, run_methods, sdmpeb_config_for,
 )
-from . import table2, table3, fig6, fig7, fig8_fig9, runtime, process_window
 
 __all__ = [
     "ExperimentSettings", "MethodResult", "TABLE2_METHODS",
     "build_method", "build_ablation", "prepare_data", "train_method",
     "evaluate_method", "run_methods", "sdmpeb_config_for",
-    "table2", "table3", "fig6", "fig7", "fig8_fig9", "runtime", "process_window",
 ]

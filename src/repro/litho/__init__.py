@@ -17,7 +17,7 @@ from .exposure import initial_photoacid
 from .dct import LateralDiffusionPropagator, lateral_step_fdm, neumann_laplacian_eigenvalues
 from .peb import RigorousPEBSolver, PEBResult, catalysis_step, neutralization_step
 from .develop import development_rate, mack_a
-from .eikonal import fast_marching, fast_sweeping, fast_iterative, godunov_update
+from .eikonal import fast_marching, fast_iterative, godunov_update
 from .profile import (
     development_arrival, resist_mask, measure_cd, measure_edges, contact_cds,
     cd_error_rms,
@@ -40,7 +40,7 @@ __all__ = [
     "LateralDiffusionPropagator", "lateral_step_fdm", "neumann_laplacian_eigenvalues",
     "RigorousPEBSolver", "PEBResult", "catalysis_step", "neutralization_step",
     "development_rate", "mack_a",
-    "fast_marching", "fast_sweeping", "fast_iterative", "godunov_update",
+    "fast_marching", "fast_iterative", "godunov_update",
     "development_arrival", "resist_mask", "measure_cd", "measure_edges",
     "contact_cds", "cd_error_rms",
     "height_map", "export_obj",

@@ -4,10 +4,12 @@ The resist profile after development is the level set of the arrival
 time S solving |∇S| = 1/R (Section II-A of the paper, citing the fast
 iterative method of Jeong & Whitaker [31]).  Two solvers are provided:
 
+* :func:`fast_iterative` — vectorized Jacobi iterations of the Godunov
+  upwind update to a fixed point; the one :mod:`repro.litho.profile`
+  runs.
 * :func:`fast_marching` — heap-ordered Dijkstra-like solver with the
-  Godunov upwind update; the workhorse.
-* :func:`fast_sweeping` — Gauss-Seidel sweeps over the 8 axis
-  orderings; simple and kept as an independent cross-check.
+  same update, one node at a time; the reference the fast one is
+  checked against.
 
 Both support anisotropic grid spacing (dz differs from dx/dy here).
 The development front enters from the resist top surface (z index 0).
@@ -16,7 +18,6 @@ The development front enters from the resist top surface (z index 0).
 from __future__ import annotations
 
 import heapq
-import itertools
 
 import numpy as np
 
@@ -188,38 +189,4 @@ def fast_iterative(slowness: np.ndarray, spacing: tuple[float, float, float],
         if finite_change.size == 0 or finite_change.max() < tolerance:
             if not np.any(np.isinf(new_times)):
                 break
-    return times
-
-
-def fast_sweeping(slowness: np.ndarray, spacing: tuple[float, float, float],
-                  max_iterations: int = 12, tolerance: float = 1e-9) -> np.ndarray:
-    """Gauss-Seidel fast sweeping Eikonal solve (cross-check solver).
-
-    Slower in python than fast marching for large grids; intended for
-    small-grid validation.
-    """
-    if np.any(slowness <= 0):
-        raise ValueError("slowness must be strictly positive")
-    times = initial_arrival(slowness, spacing)
-    nz, ny, nx = slowness.shape
-    orderings = list(itertools.product((1, -1), repeat=3))
-    for _ in range(max_iterations):
-        max_change = 0.0
-        for dir_z, dir_y, dir_x in orderings:
-            z_range = range(nz) if dir_z > 0 else range(nz - 1, -1, -1)
-            y_range = range(ny) if dir_y > 0 else range(ny - 1, -1, -1)
-            x_range = range(nx) if dir_x > 0 else range(nx - 1, -1, -1)
-            for iz in z_range:
-                for iy in y_range:
-                    for ix in x_range:
-                        index = (iz, iy, ix)
-                        updated = godunov_update(_axis_neighbors(times, index, spacing),
-                                                 slowness[index])
-                        current = times[index]
-                        if updated < current:
-                            times[index] = updated
-                            change = current - updated if np.isfinite(current) else INFINITY
-                            max_change = max(max_change, change)
-        if max_change < tolerance:
-            break
     return times

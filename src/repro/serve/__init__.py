@@ -22,8 +22,8 @@ subsystem is stdlib + numpy only:
   (``--jobs-dir``; see ``docs/jobs.md``);
 * :mod:`repro.serve.pool` — the batch forward, run in-process at one
   worker, and the multi-process backend: N forked workers
-  (:mod:`repro.runtime.worker`) each owning a core and its own plan
-  cache and serving the parent's model, read-only, through the fork;
+  (:mod:`repro.runtime.worker`) each owning a core and serving the
+  parent's model, read-only, through the fork;
   each batcher lane hands its batch to a free worker
   (``--serve-workers`` / ``REPRO_SERVE_WORKERS``).
 
@@ -34,9 +34,6 @@ with ``benchmarks/run_serve_bench.py``.  See ``docs/serving.md``.
 from .batcher import (
     BatcherClosedError, BatchPolicy, DeadlineExceededError, MicroBatcher,
     QueueFullError, ServeError, content_hash,
-)
-from .engine import (
-    ENGINES, PlanExecutor, clear_plan_cache, plan_cache_stats, resolve_engine,
 )
 from .jobs import JobService
 from .pool import WorkerCrashedError, WorkerPool, resolve_serve_workers
@@ -51,8 +48,6 @@ from .server import (
 )
 
 __all__ = [
-    "ENGINES", "PlanExecutor", "resolve_engine", "plan_cache_stats",
-    "clear_plan_cache",
     "BatchPolicy", "MicroBatcher", "ServeError", "QueueFullError",
     "DeadlineExceededError", "BatcherClosedError", "content_hash",
     "ModelManifest", "ModelRegistry", "RegistryError", "IntegrityError",

@@ -1,19 +1,20 @@
 """The batch forward, and the forked workers that run it at N > 1.
 
-:func:`make_forward` runs one batch through the model and engine: at
-one worker the batcher's lane calls it in-process, at N it is every
-forked worker's handler.  The single-process server serializes every
-forward on one core because of the GIL.  The :class:`WorkerPool`
-escapes it: N :class:`~repro.runtime.worker.ForkedWorker`\\ s, each
-owning one core and its own compiled-plan cache.  A worker serves the
-model it inherits through the fork — the parent's copy, already cast to
-float64 and carrying its output stats — with the parameter arrays
-marked read-only in the child, so an accidental in-place write fails
-loudly instead of silently diverging one worker.  The parent keeps the
-model's one :class:`~repro.serve.batcher.MicroBatcher` with one lane
-per worker, and :meth:`WorkerPool.forward` hands each lane's batch to
-a worker that is idle and not disabled, the way
-:func:`~repro.runtime.parallel_map` hands tasks to free workers.
+:func:`make_forward` runs one batch through the model's tape forward
+under ``no_grad``: at one worker the batcher's lane calls it
+in-process, at N it is every forked worker's handler.  The
+single-process server serializes every forward on one core because of
+the GIL.  The :class:`WorkerPool` escapes it: N
+:class:`~repro.runtime.worker.ForkedWorker`\\ s, each owning one core.
+A worker serves the model it inherits through the fork — the parent's
+copy, already cast to float64 and carrying its output stats — with the
+parameter arrays marked read-only in the child, so an accidental
+in-place write fails loudly instead of silently diverging one worker.
+The parent keeps the model's one
+:class:`~repro.serve.batcher.MicroBatcher` with one lane per worker,
+and :meth:`WorkerPool.forward` hands each lane's batch to a worker that
+is idle and not disabled, the way :func:`~repro.runtime.parallel_map`
+hands tasks to free workers.
 
 Lifecycle, in this module (the fork, the ready handshake, crash
 detection, trace hand-off and reaping are the primitive's):
@@ -57,7 +58,6 @@ from repro.runtime.worker import ForkedWorker, WorkerDied, fork_available
 from repro.tensor import Tensor, no_grad
 
 from .batcher import ServeError
-from .engine import PlanExecutor
 
 __all__ = ["WorkerCrashedError", "WorkerPool", "make_forward",
            "resolve_serve_workers"]
@@ -98,39 +98,32 @@ def resolve_serve_workers(workers: int | None = None) -> int:
 # ----------------------------------------------------------------------
 # The batch forward
 # ----------------------------------------------------------------------
-def _forward(model, executor, batch: np.ndarray, engine: str) -> np.ndarray:
-    """One batch through the model and engine (module level, so a test
-    can slow it down before the fork to widen the kill window)."""
+def _forward(model, batch: np.ndarray) -> np.ndarray:
+    """One batch through the model (module level, so a test can slow it
+    down before the fork to widen the kill window)."""
     # validate_input casts each clip to float64 and np.stack keeps it,
     # so the batch needs no per-request conversion
     if batch.dtype != np.float64:
         raise ServeError(f"batch reached the forward path as {batch.dtype}; "
                          "inputs must be cast to float64 at validation")
-    with span("serve.forward", size=len(batch), engine=engine,
-              worker_pid=os.getpid()):
-        output = executor.run(batch) if executor is not None else None
-        if output is None:
-            with no_grad():
-                output = model(Tensor(batch)).numpy()
+    with span("serve.forward", size=len(batch), worker_pid=os.getpid()), \
+            no_grad():
+        output = model(Tensor(batch)).numpy()
     return np.asarray(output)
 
 
-def make_forward(model, content_hash: str, engine: str, label: str):
-    """The batch forward over ``model``, with its plan executor when
-    ``engine`` is ``"plan"``."""
-    executor = PlanExecutor(model, content_hash, label=label) \
-        if engine == "plan" else None
-
+def make_forward(model):
+    """The batch forward over ``model``."""
     def forward(batch: np.ndarray) -> np.ndarray:
-        return _forward(model, executor, batch, engine)
+        return _forward(model, batch)
     return forward
 
 
-def _serve_batches(model, content_hash: str, engine: str, label: str):
+def _serve_batches(model):
     """Worker setup: freeze the inherited parameters, return the handler."""
     for _, param in model.named_parameters():
         param.data.setflags(write=False)
-    forward = make_forward(model, content_hash, engine, label)
+    forward = make_forward(model)
 
     def handle(batch):
         return None if batch is None else forward(batch)  # None: heartbeat
@@ -167,18 +160,15 @@ class WorkerPool:
     """N forked serving workers, each batch to a free one, with crash
     respawn."""
 
-    def __init__(self, model, content_hash: str, engine: str, workers: int,
-                 name: str = "default"):
+    def __init__(self, model, workers: int, name: str = "default"):
         if workers < 1:
             raise ValueError(f"worker pool needs >= 1 workers, got {workers}")
         if not fork_available():
             raise RuntimeError(
                 "multi-process serving requires the fork start method; "
                 "run with workers=1 on this platform")
-        self.engine = engine
         self.name = name
-        self._setup = lambda: _serve_batches(model, content_hash, engine,
-                                             f"{name}-pool")
+        self._setup = lambda: _serve_batches(model)
         #: guards every handle's claim, counters and ``disabled`` flag,
         #: and ``_closed``; notified whenever a claim is released
         self._idle = make_condition(f"serve.pool.{name}")
@@ -342,7 +332,6 @@ class WorkerPool:
             })
         return {
             "workers": len(self._workers),
-            "engine": self.engine,
             "restarts": sum(w["restarts"] for w in per_worker),
             "alive": sum(1 for w in per_worker if w["alive"]),
             "per_worker": per_worker,

@@ -72,7 +72,6 @@ from .batcher import (
     BatcherClosedError, BatchPolicy, DeadlineExceededError, MicroBatcher,
     QueueFullError, ServeError,
 )
-from .engine import plan_cache_stats, resolve_engine
 from .jobs import JobService
 from .pool import (
     WorkerCrashedError, WorkerPool, make_forward, resolve_serve_workers,
@@ -126,31 +125,23 @@ class ServedModel:
     thread.  The monitor only ever reads the batch — served outputs are
     bitwise identical with and without it.
 
-    ``engine`` selects how batched forwards run: ``"tape"`` is the
-    ordinary autograd tape under ``no_grad``; ``"plan"`` compiles one
-    inference plan per batch shape on first use and replays it (bitwise
-    identical, falling back to tape on capture failure or while a
-    capture is in flight).  ``None`` consults ``REPRO_INFER_PLAN``.
-
     ``workers`` (default ``REPRO_SERVE_WORKERS``, else 1) sets where
     the forward runs.  Either way there is one micro-batcher — one
     queue, one response cache — with one lane thread per worker.  At 1
     its lane runs the forward in-process, under the GIL.  At N > 1 the
-    model is served by N forked worker processes (each with its own core
-    and plan cache, serving this object's model, read-only, through the
-    fork), and each lane hands its batch to a free one.  Outputs are
-    bitwise identical either way.
+    model is served by N forked worker processes (each with its own
+    core, serving this object's model, read-only, through the fork), and
+    each lane hands its batch to a free one.  Outputs are bitwise
+    identical either way.
     """
 
     def __init__(self, model, manifest: ModelManifest, policy: BatchPolicy,
                  health: HealthConfig | None = None,
-                 peb: PEBConfig | None = None, engine: str | None = None,
-                 workers: int | None = None):
+                 peb: PEBConfig | None = None, workers: int | None = None):
         self.model = model
         self.manifest = manifest
         self.model.eval()
         self._cast_params_once()
-        self.engine = resolve_engine(engine)
         label = f"{manifest.name}-v{manifest.version}"
         self.workers = resolve_serve_workers(workers)
         self.pool = None
@@ -162,12 +153,10 @@ class ServedModel:
                 peb=peb, name=label)
         if self.workers > 1:
             # forked after the cast: workers inherit float64 weights
-            self.pool = WorkerPool(self.model, manifest.content_hash,
-                                   self.engine, self.workers, name=label)
+            self.pool = WorkerPool(self.model, self.workers, name=label)
             forward = self.pool.forward
         else:
-            forward = make_forward(self.model, manifest.content_hash,
-                                   self.engine, label)
+            forward = make_forward(self.model)
         self.batcher = MicroBatcher(forward, policy, name=label,
                                     observer=self._observe_batch,
                                     lanes=self.workers)
@@ -766,8 +755,6 @@ class PredictServer:
             "process": process_info(),
             "models": sorted(self._models),
             "inflight": self.inflight,
-            "engines": sorted({entry.engine for versions in self._models.values()
-                               for entry in versions.values()}),
             "serve_workers": max(entry.workers
                                  for versions in self._models.values()
                                  for entry in versions.values()),
@@ -777,7 +764,6 @@ class PredictServer:
             "cache_hit_rate": round(hits / lookups, 6) if lookups else 0.0,
             "queues": queues,
             "caches": self.cache_stats(),
-            "plan_cache": plan_cache_stats(),
         }
         if pools:
             payload["pools"] = pools
@@ -855,9 +841,6 @@ class PredictServer:
                 evictions += stats["evictions"]
         gauge("serve.cache.entries").set(entries)
         gauge("serve.cache.evictions").set(evictions)
-        plans = plan_cache_stats()
-        gauge("serve.plan.cached_plans").set(plans["plans"])
-        gauge("serve.plan.arena_bytes").set(plans["arena_bytes"])
         workers = alive = restarts = 0
         for versions in self._models.values():
             for entry in versions.values():

@@ -22,26 +22,11 @@ from scipy import fft as spfft
 
 from repro import tensor as T
 from repro.runtime.fft import fft_workers
-from repro.tensor import Tensor, ensure_tensor, plan
+from repro.tensor import Tensor, ensure_tensor
 from repro.nn.module import Module, Parameter
 from repro.nn import init
 from .hippo import s4d_real_init, dt_init
 from .scan import diagonal_scan
-
-
-@plan.register_kernel("lti_causal_conv")
-def _plan_lti_causal_conv(ctx):
-    """Plan kernel for the Eq. 9 FFT path.  The kernel K̄ is derived
-    from weights only, so the capture-time array is already the served
-    model's kernel; the FFT convolution stays an opaque call."""
-    x = ctx.inp(0)
-    kernel = ctx.params["kernel"]
-    out, _ = ctx.alloc_out()
-
-    def _conv(x=x, kernel=kernel, out=out):
-        np.copyto(out, causal_conv_fft(x, kernel))
-
-    ctx.emit(_conv)
 
 
 def lti_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
@@ -142,6 +127,5 @@ class LTISSM(Module):
             flipped = np.flip(grad_y, axis=1)
             return np.flip(causal_conv_fft(flipped, kernel), axis=1)
 
-        out = Tensor.from_op(y, [(x, grad_x)],
-                             capture=("lti_causal_conv", {"kernel": kernel}))
+        out = Tensor.from_op(y, [(x, grad_x)])
         return out + self.skip * x

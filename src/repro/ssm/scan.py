@@ -28,7 +28,7 @@ import contextlib
 
 import numpy as np
 
-from repro.tensor import Tensor, ensure_tensor, plan
+from repro.tensor import Tensor, ensure_tensor
 
 SCAN_MODES = ("sequential", "chunked")
 DEFAULT_CHUNK = 16
@@ -171,21 +171,4 @@ def diagonal_scan(a, b, mode: str = "chunked", chunk: int = DEFAULT_CHUNK) -> Te
         np.multiply(lam[:, 1:], h[:, :-1], out=out[:, 1:])
         return out
 
-    return Tensor.from_op(h, [(a, grad_a), (b, grad_b)],
-                          capture=("diagonal_scan",
-                                   {"mode": mode, "chunk": chunk}))
-
-
-@plan.register_kernel("diagonal_scan")
-def _plan_diagonal_scan(ctx):
-    """Plan kernel: the scan stays an opaque call (its chunked loop
-    already runs in-place over one scratch buffer); only the result
-    placement changes, so replays stay bitwise identical."""
-    a, b = ctx.inp(0), ctx.inp(1)
-    mode, chunk = ctx.params["mode"], ctx.params["chunk"]
-    out, _ = ctx.alloc_out()
-
-    def _scan(a=a, b=b, mode=mode, chunk=chunk, out=out):
-        np.copyto(out, run_scan(a, b, mode=mode, chunk=chunk))
-
-    ctx.emit(_scan)
+    return Tensor.from_op(h, [(a, grad_a), (b, grad_b)])

@@ -3,8 +3,10 @@
 This package is the substrate replacing PyTorch for this reproduction:
 a :class:`Tensor` with a dynamic tape, the primitive operator set, and
 the convolution kernels needed by the SDM-PEB architecture and its
-baselines.  Import order matters slightly: the ``ops_*`` modules attach
-operator methods onto :class:`Tensor` when imported.
+baselines.  Training and serving run the same ops: serving runs them
+under :func:`no_grad`, which records no tape.  Import order matters
+slightly: the ``ops_*`` modules attach operator methods onto
+:class:`Tensor` when imported.
 """
 
 from .tensor import (
@@ -25,12 +27,8 @@ from .ops_nn import (
     conv1d, conv3d, conv_transpose3d, upsample_nearest3d,
 )
 from . import functional
-from . import plan  # noqa: F401  (built-in plan kernels register on import)
-from .plan import Plan, PlanError, PlanCaptureError, PlanExecutionError, capture
 
 __all__ = [
-    "plan", "Plan", "PlanError", "PlanCaptureError", "PlanExecutionError",
-    "capture",
     "Tensor", "no_grad", "is_grad_enabled", "as_array", "ensure_tensor", "DEFAULT_DTYPE",
     "sanitize", "is_sanitize_enabled", "SanitizeError",
     "add", "sub", "mul", "div", "neg", "pow_", "exp", "log", "sqrt", "tanh",

@@ -20,9 +20,7 @@ def leaky_relu(x, negative_slope: float = 0.01) -> Tensor:
     x = ensure_tensor(x)
     positive = x.data >= 0
     scale = np.where(positive, 1.0, negative_slope)
-    return Tensor.from_op(x.data * scale, [(x, lambda g: g * scale)],
-                          capture=("leaky_relu",
-                                   {"negative_slope": negative_slope}))
+    return Tensor.from_op(x.data * scale, [(x, lambda g: g * scale)])
 
 
 def silu(x) -> Tensor:
@@ -47,23 +45,20 @@ def softplus(x) -> Tensor:
     data = x.data
     out = np.maximum(data, 0.0) + np.log1p(np.exp(-np.abs(data)))
     sig = 1.0 / (1.0 + np.exp(-np.clip(data, -60.0, 60.0)))
-    return Tensor.from_op(out, [(x, lambda g: g * sig)],
-                          capture=("softplus", {}))
+    return Tensor.from_op(out, [(x, lambda g: g * sig)])
 
 
 def detached_max(x, axis: int = -1) -> Tensor:
     """``max`` over ``axis`` (keepdims) treated as a constant shift.
 
     The softmax stabilizer must not contribute gradient (the true vjp of
-    the shift cancels anyway), but it *is* data-dependent, so it has to
-    be an op on the tape: wrapping the raw ndarray in a plain ``Tensor``
-    would bake a capture-time value into compiled inference plans.  The
-    ``None`` contribution is skipped by ``backward``.
+    the shift cancels anyway).  It is still recorded as an op, so the
+    sanitizer checks it like any other; the ``None`` contribution is
+    skipped by ``backward``.
     """
     x = ensure_tensor(x)
     out = x.data.max(axis=axis, keepdims=True)
-    return Tensor.from_op(out, [(x, lambda g: None)],
-                          capture=("detached_max", {"axis": axis}))
+    return Tensor.from_op(out, [(x, lambda g: None)])
 
 
 def softmax(x, axis: int = -1) -> Tensor:

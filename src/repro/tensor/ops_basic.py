@@ -20,7 +20,7 @@ def add(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g, a.shape)),
         (b, lambda g: unbroadcast(g, b.shape)),
-    ], capture=("add", {}))
+    ])
 
 
 def sub(a, b) -> Tensor:
@@ -30,7 +30,7 @@ def sub(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g, a.shape)),
         (b, lambda g: unbroadcast(-g, b.shape)),
-    ], capture=("sub", {}))
+    ])
 
 
 def mul(a, b) -> Tensor:
@@ -40,7 +40,7 @@ def mul(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g * b.data, a.shape)),
         (b, lambda g: unbroadcast(g * a.data, b.shape)),
-    ], capture=("mul", {}))
+    ])
 
 
 def div(a, b) -> Tensor:
@@ -50,13 +50,13 @@ def div(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g / b.data, a.shape)),
         (b, lambda g: unbroadcast(-g * a.data / (b.data ** 2), b.shape)),
-    ], capture=("div", {}))
+    ])
 
 
 def neg(a) -> Tensor:
     """Elementwise ``-a``."""
     a = ensure_tensor(a)
-    return Tensor.from_op(-a.data, [(a, lambda g: -g)], capture=("neg", {}))
+    return Tensor.from_op(-a.data, [(a, lambda g: -g)])
 
 
 def pow_(a, exponent: float) -> Tensor:
@@ -65,37 +65,35 @@ def pow_(a, exponent: float) -> Tensor:
     out = a.data ** exponent
     return Tensor.from_op(out, [
         (a, lambda g: g * exponent * a.data ** (exponent - 1)),
-    ], capture=("pow", {"exponent": exponent}))
+    ])
 
 
 def exp(a) -> Tensor:
     """Elementwise exponential."""
     a = ensure_tensor(a)
     out = np.exp(a.data)
-    return Tensor.from_op(out, [(a, lambda g: g * out)], capture=("exp", {}))
+    return Tensor.from_op(out, [(a, lambda g: g * out)])
 
 
 def log(a) -> Tensor:
     """Elementwise natural logarithm."""
     a = ensure_tensor(a)
     out = np.log(a.data)
-    return Tensor.from_op(out, [(a, lambda g: g / a.data)], capture=("log", {}))
+    return Tensor.from_op(out, [(a, lambda g: g / a.data)])
 
 
 def sqrt(a) -> Tensor:
     """Elementwise square root."""
     a = ensure_tensor(a)
     out = np.sqrt(a.data)
-    return Tensor.from_op(out, [(a, lambda g: g * 0.5 / out)],
-                          capture=("sqrt", {}))
+    return Tensor.from_op(out, [(a, lambda g: g * 0.5 / out)])
 
 
 def tanh(a) -> Tensor:
     """Elementwise hyperbolic tangent."""
     a = ensure_tensor(a)
     out = np.tanh(a.data)
-    return Tensor.from_op(out, [(a, lambda g: g * (1.0 - out ** 2))],
-                          capture=("tanh", {}))
+    return Tensor.from_op(out, [(a, lambda g: g * (1.0 - out ** 2))])
 
 
 def sigmoid(a) -> Tensor:
@@ -104,16 +102,14 @@ def sigmoid(a) -> Tensor:
     x = a.data
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return Tensor.from_op(out, [(a, lambda g: g * out * (1.0 - out))],
-                          capture=("sigmoid", {}))
+    return Tensor.from_op(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def abs_(a) -> Tensor:
     """Elementwise absolute value (subgradient 0 at the kink)."""
     a = ensure_tensor(a)
     out = np.abs(a.data)
-    return Tensor.from_op(out, [(a, lambda g: g * np.sign(a.data))],
-                          capture=("abs", {}))
+    return Tensor.from_op(out, [(a, lambda g: g * np.sign(a.data))])
 
 
 def maximum(a, b) -> Tensor:
@@ -124,7 +120,7 @@ def maximum(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g * take_a, a.shape)),
         (b, lambda g: unbroadcast(g * ~take_a, b.shape)),
-    ], capture=("maximum", {}))
+    ])
 
 
 def minimum(a, b) -> Tensor:
@@ -135,7 +131,7 @@ def minimum(a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g * take_a, a.shape)),
         (b, lambda g: unbroadcast(g * ~take_a, b.shape)),
-    ], capture=("minimum", {}))
+    ])
 
 
 def clip(a, low: float | None, high: float | None) -> Tensor:
@@ -147,8 +143,7 @@ def clip(a, low: float | None, high: float | None) -> Tensor:
         inside &= a.data >= low
     if high is not None:
         inside &= a.data <= high
-    return Tensor.from_op(out, [(a, lambda g: g * inside)],
-                          capture=("clip", {"low": low, "high": high}))
+    return Tensor.from_op(out, [(a, lambda g: g * inside)])
 
 
 def where(condition, a, b) -> Tensor:
@@ -159,7 +154,7 @@ def where(condition, a, b) -> Tensor:
     return Tensor.from_op(out, [
         (a, lambda g: unbroadcast(g * cond, a.shape)),
         (b, lambda g: unbroadcast(g * ~cond, b.shape)),
-    ], capture=("where", {"cond": condition if isinstance(condition, Tensor) else cond}))
+    ])
 
 
 def matmul(a, b) -> Tensor:
@@ -187,8 +182,7 @@ def matmul(a, b) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
         return unbroadcast(gb, b.shape)
 
-    return Tensor.from_op(out, [(a, grad_a), (b, grad_b)],
-                          capture=("matmul", {}))
+    return Tensor.from_op(out, [(a, grad_a), (b, grad_b)])
 
 
 def einsum(subscripts: str, *operands) -> Tensor:
@@ -218,8 +212,7 @@ def einsum(subscripts: str, *operands) -> Tensor:
                 raise ValueError(f"einsum backward: operand index {needs_sum} summed away; unsupported")
             return np.einsum(spec, g, *other_data)
         parents.append((t, vjp))
-    return Tensor.from_op(out, parents,
-                          capture=("einsum", {"subscripts": subscripts}))
+    return Tensor.from_op(out, parents)
 
 
 def _install_operators():

@@ -2,13 +2,14 @@
 
 A forward convolution runs one GEMM per tile of rows, with tiles sized
 so that no scratch buffer outgrows :data:`COLUMN_BYTES`.  The kernels
-take their output and a scratch allocator as arguments, so the autograd
-tape (numpy allocations) and the compiled plan (:mod:`repro.tensor.plan`,
-arena buffers) run the same code.  :func:`conv3d_kernel` gathers each
-tile's input windows into columns (im2col) and multiplies them straight
-into the output; a stride-1 convolution with fewer output than input
-channels per group (a one-channel head) instead multiplies every kernel
-offset's weights with the input at once and shift-adds the products.
+take their output and a scratch allocator as arguments (destination
+passing): the autograd tape hands them numpy allocations, and a caller
+that keeps its own buffers can bind those instead.
+:func:`conv3d_kernel` gathers each tile's input windows into columns
+(im2col) and multiplies them straight into the output; a stride-1
+convolution with fewer output than input channels per group (a
+one-channel head) instead multiplies every kernel offset's weights with
+the input at once and shift-adds the products.
 :func:`conv_transpose3d_kernel` is that second form with the shifts
 reversed.  The backward kernels loop over kernel offsets: ``kd*kh*kw``
 strided einsums, scattered for the input gradient.
@@ -194,7 +195,7 @@ def conv3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.empty):
     callable computing it from the current contents of ``x`` and ``w``
     (all C-contiguous), with scratch taken once from ``scratch(shape,
     dtype)``.  The same shapes run the same GEMMs, so results are bitwise
-    reproducible and the tape and a compiled plan agree bitwise."""
+    reproducible whichever buffers the caller binds."""
     stride, padding = _triple(stride), _triple(padding)
     _require_contiguous(out, x, w)
     if out.size == 0 or x.size == 0:
@@ -345,10 +346,7 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups: int = 1) -> Tensor:
         (x, lambda g: conv3d_grad_input(g, w.data, x.shape, stride, padding, groups)),
         (w, lambda g: conv3d_grad_weight(g, x.data, w.shape, stride, padding, groups)),
     ]
-    out = Tensor.from_op(out_data, parents,
-                         capture=("conv3d", {"stride": stride,
-                                             "padding": padding,
-                                             "groups": groups}))
+    out = Tensor.from_op(out_data, parents)
     if bias is not None:
         bias = ensure_tensor(bias)
         from .ops_basic import add
@@ -366,11 +364,7 @@ def conv_transpose3d(x, w, bias=None, stride=1, padding=0, output_padding=0, gro
         (x, lambda g: conv_transpose3d_grad_input(g, w.data, x.shape, stride, padding, output_padding, groups)),
         (w, lambda g: conv_transpose3d_grad_weight(g, x.data, w.shape, stride, padding, output_padding, groups)),
     ]
-    out = Tensor.from_op(out_data, parents,
-                         capture=("conv_transpose3d",
-                                  {"stride": stride, "padding": padding,
-                                   "output_padding": output_padding,
-                                   "groups": groups}))
+    out = Tensor.from_op(out_data, parents)
     if bias is not None:
         bias = ensure_tensor(bias)
         from .ops_basic import add

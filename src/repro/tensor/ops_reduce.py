@@ -27,7 +27,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
     return Tensor.from_op(out, [
         (a, lambda g: _expand_like(g, a.shape, axis, keepdims).copy()),
-    ], capture=("sum", {"axis": axis, "keepdims": keepdims}))
+    ])
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -39,7 +39,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     )
     return Tensor.from_op(out, [
         (a, lambda g: _expand_like(g, a.shape, axis, keepdims) / count),
-    ], capture=("mean", {"axis": axis, "keepdims": keepdims}))
+    ])
 
 
 def max_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -58,8 +58,7 @@ def max_(a, axis=None, keepdims: bool = False) -> Tensor:
         counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
         return full * mask / _expand_like(np.asarray(counts), a.shape, None, True)
 
-    return Tensor.from_op(out, [(a, vjp)],
-                          capture=("max", {"axis": axis, "keepdims": keepdims}))
+    return Tensor.from_op(out, [(a, vjp)])
 
 
 def min_(a, axis=None, keepdims: bool = False) -> Tensor:

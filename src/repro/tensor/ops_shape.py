@@ -13,8 +13,7 @@ def reshape(a, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     out = a.data.reshape(shape)
-    return Tensor.from_op(out, [(a, lambda g: g.reshape(a.shape))],
-                          capture=("reshape", {"shape": out.shape}))
+    return Tensor.from_op(out, [(a, lambda g: g.reshape(a.shape))])
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -25,25 +24,21 @@ def transpose(a, axes=None) -> Tensor:
         inverse = None
     else:
         inverse = np.argsort(axes)
-    return Tensor.from_op(out, [(a, lambda g: np.transpose(g, inverse))],
-                          capture=("transpose", {"axes": axes}))
+    return Tensor.from_op(out, [(a, lambda g: np.transpose(g, inverse))])
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     """Swap two dimensions."""
     a = ensure_tensor(a)
     out = np.swapaxes(a.data, axis1, axis2)
-    return Tensor.from_op(out, [(a, lambda g: np.swapaxes(g, axis1, axis2))],
-                          capture=("swapaxes", {"axis1": axis1, "axis2": axis2}))
+    return Tensor.from_op(out, [(a, lambda g: np.swapaxes(g, axis1, axis2))])
 
 
 def moveaxis(a, source: int, destination: int) -> Tensor:
     """Move a dimension to a new position."""
     a = ensure_tensor(a)
     out = np.moveaxis(a.data, source, destination)
-    return Tensor.from_op(out, [(a, lambda g: np.moveaxis(g, destination, source))],
-                          capture=("moveaxis", {"source": source,
-                                                "destination": destination}))
+    return Tensor.from_op(out, [(a, lambda g: np.moveaxis(g, destination, source))])
 
 
 def getitem(a, index) -> Tensor:
@@ -56,7 +51,7 @@ def getitem(a, index) -> Tensor:
         np.add.at(grad, index, g)
         return grad
 
-    return Tensor.from_op(out, [(a, vjp)], capture=("getitem", {"index": index}))
+    return Tensor.from_op(out, [(a, vjp)])
 
 
 def concatenate(tensors, axis: int = 0) -> Tensor:
@@ -73,7 +68,7 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             return g[tuple(slicer)]
         parents.append((t, vjp))
-    return Tensor.from_op(out, parents, capture=("concatenate", {"axis": axis}))
+    return Tensor.from_op(out, parents)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -85,7 +80,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
         def vjp(g, i=i):
             return np.take(g, i, axis=axis)
         parents.append((t, vjp))
-    return Tensor.from_op(out, parents, capture=("stack", {"axis": axis}))
+    return Tensor.from_op(out, parents)
 
 
 def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
@@ -98,17 +93,14 @@ def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
         slicer = tuple(slice(lo, g.shape[i] - hi) for i, (lo, hi) in enumerate(pad_width))
         return g[slicer]
 
-    return Tensor.from_op(out, [(a, vjp)],
-                          capture=("pad", {"pad_width": pad_width,
-                                           "constant_value": constant_value}))
+    return Tensor.from_op(out, [(a, vjp)])
 
 
 def flip(a, axis) -> Tensor:
     """Reverse along the given axis/axes."""
     a = ensure_tensor(a)
     out = np.flip(a.data, axis=axis)
-    return Tensor.from_op(out, [(a, lambda g: np.flip(g, axis=axis))],
-                          capture=("flip", {"axis": axis}))
+    return Tensor.from_op(out, [(a, lambda g: np.flip(g, axis=axis))])
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -117,8 +109,7 @@ def broadcast_to(a, shape) -> Tensor:
 
     a = ensure_tensor(a)
     out = np.broadcast_to(a.data, shape).copy()
-    return Tensor.from_op(out, [(a, lambda g: unbroadcast(g, a.shape))],
-                          capture=("broadcast_to", {"shape": out.shape}))
+    return Tensor.from_op(out, [(a, lambda g: unbroadcast(g, a.shape))])
 
 
 def repeat_interleave(a, repeats: int, axis: int) -> Tensor:
@@ -135,9 +126,7 @@ def repeat_interleave(a, repeats: int, axis: int) -> Tensor:
         new_shape.insert(axis + 1, repeats)
         return g.reshape(new_shape).sum(axis=axis + 1)
 
-    return Tensor.from_op(out, [(a, vjp)],
-                          capture=("repeat_interleave", {"repeats": repeats,
-                                                         "axis": axis}))
+    return Tensor.from_op(out, [(a, vjp)])
 
 
 def split(a, sections: int, axis: int = 0) -> list[Tensor]:

@@ -162,8 +162,7 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def from_op(data: np.ndarray, parents, op: str | None = None,
-                capture=None) -> "Tensor":
+    def from_op(data: np.ndarray, parents, op: str | None = None) -> "Tensor":
         """Create the result tensor of an operation.
 
         ``parents`` is an iterable of ``(tensor, vjp)`` pairs; pairs whose
@@ -174,19 +173,8 @@ class Tensor:
         ``op`` names the operation for sanitizer error messages; when
         omitted under :func:`sanitize`, the calling function's name is
         used, which matches the public op name for every ``ops_*`` module.
-
-        ``capture`` is the op's plan-capture descriptor, a
-        ``(kernel_name, params)`` pair consumed by ``repro.tensor.plan``
-        while a plan capture is active on this thread.  Ops that omit it
-        abort any in-progress capture (the caller falls back to the
-        tape), so un-instrumented custom ops degrade gracefully instead
-        of being replayed incorrectly.
         """
         out = Tensor(data)
-        builder = getattr(_state, "plan_builder", None)
-        if builder is not None:
-            parents = list(parents)
-            builder.record(out, parents, capture)
         if is_sanitize_enabled():
             parents = list(parents)
             out._op = op or sys._getframe(1).f_code.co_name
@@ -200,18 +188,10 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        out = Tensor(self.data)
-        builder = getattr(_state, "plan_builder", None)
-        if builder is not None:
-            builder.alias(out, self)
-        return out
+        return Tensor(self.data)
 
     def copy(self) -> "Tensor":
         """Return a constant deep copy of this tensor's data."""
-        builder = getattr(_state, "plan_builder", None)
-        if builder is not None:
-            return Tensor.from_op(self.data.copy(), [(self, lambda g: None)],
-                                  op="copy", capture=("copy", {}))
         return Tensor(self.data.copy())
 
     # ------------------------------------------------------------------

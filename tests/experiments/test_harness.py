@@ -4,6 +4,11 @@ Heavy end-to-end training runs live in the benchmarks; these tests use
 micro settings to exercise the full code path quickly.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,8 @@ from repro.experiments import (
 )
 from repro.experiments.fig7 import bucket_percentages
 from repro.experiments.fig6 import histogram, imbalance_ratio
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def micro_settings(tmp_path) -> ExperimentSettings:
@@ -180,3 +187,13 @@ class TestRuntimeExperiment:
         row = runtime_exp.RuntimeRow.from_times("m", [0.4, 0.1, 0.2, 0.3, 0.5], reference=0.6)
         assert (row.q1_s, row.seconds, row.q3_s, row.runs) == (0.2, 0.3, 0.4, 5)
         assert row.speedup_vs_rigorous == pytest.approx(2.0)
+
+    def test_runs_as_a_module_without_runpy_warning(self):
+        """``python -m repro.experiments.runtime`` must not find its own
+        module already imported by the package (runpy's RuntimeWarning)."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.runtime", "--help"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr

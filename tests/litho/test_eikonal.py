@@ -40,12 +40,6 @@ class TestConstantSlowness:
         expected = 0.7 * 2.0 * (np.arange(5) + 1)
         assert np.allclose(times, expected[:, None, None])
 
-    def test_fsm_matches_analytic(self):
-        slowness = np.full((4, 3, 3), 1.5)
-        times = eikonal.fast_sweeping(slowness, (1.0, 1.0, 1.0))
-        expected = 1.5 * (np.arange(4) + 1)
-        assert np.allclose(times, expected[:, None, None])
-
 
 class TestLayeredMedium:
     def test_slow_layer_delays_arrival(self):
@@ -67,15 +61,13 @@ class TestLayeredMedium:
 class TestSolverAgreement:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 500))
-    def test_property_fmm_fim_fsm_agree(self, seed):
+    def test_property_fmm_fim_agree(self, seed):
         rng = np.random.default_rng(seed)
         slowness = np.exp(rng.uniform(-1.0, 2.0, size=(4, 6, 6)))
         spacing = (2.0, 1.0, 1.5)
         fmm = eikonal.fast_marching(slowness, spacing)
         fim = eikonal.fast_iterative(slowness, spacing)
-        fsm = eikonal.fast_sweeping(slowness, spacing, max_iterations=30)
         assert np.allclose(fmm, fim, rtol=1e-6, atol=1e-8)
-        assert np.allclose(fmm, fsm, rtol=1e-6, atol=1e-8)
 
     def test_high_contrast_agreement(self):
         rng = np.random.default_rng(9)
@@ -86,8 +78,7 @@ class TestSolverAgreement:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("solver", [eikonal.fast_marching, eikonal.fast_iterative,
-                                        eikonal.fast_sweeping])
+    @pytest.mark.parametrize("solver", [eikonal.fast_marching, eikonal.fast_iterative])
     def test_nonpositive_slowness_raises(self, solver):
         with pytest.raises(ValueError):
             solver(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0))

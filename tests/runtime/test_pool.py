@@ -143,7 +143,7 @@ class TestParallelMap:
         grid = GridConfig(size_um=0.8, nx=16, ny=16, nz=2)
         nn.init.seed(0)
         model, _ = build_method("DeepCNN", grid)
-        pool = WorkerPool(model, "sha256:" + "0" * 64, "tape", 1)
+        pool = WorkerPool(model, 1)
         try:
             counts = pool.forward(np.zeros((1,) + grid.shape))
         finally:

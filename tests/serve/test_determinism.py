@@ -43,13 +43,13 @@ def checkpoint(request, tmp_path_factory):
     return trainer, path, clips
 
 
-def serve_model(path, workers=1, engine=None, **policy_kwargs) -> ServedModel:
+def serve_model(path, workers=1, **policy_kwargs) -> ServedModel:
     # workers defaults to 1 (not the env) because several tests below
     # patch in-process batcher internals; the cross-worker matrix
     # parameterizes `workers` explicitly
     loaded, manifest = load_checkpoint(path)
     return ServedModel(loaded, manifest, BatchPolicy(**policy_kwargs),
-                       workers=workers, engine=engine)
+                       workers=workers)
 
 
 class TestBatchedVsSingle:
@@ -147,36 +147,30 @@ class TestObservationOnly:
 class TestCrossWorkerMatrix:
     """Bitwise identity across the full backend matrix.
 
-    workers ∈ {1, 2, 4} × engine ∈ {tape, plan} × tracing on/off must
-    all serve the same bytes: the process pool, the inherited weights,
-    the batcher's lanes and the per-worker plan caches are transport,
-    never arithmetic.  Batch-1 policy pins the composition
-    so the BLAS shape caveat (module docstring) cannot blur the
-    comparison.
+    workers ∈ {1, 2, 4} × tracing on/off must all serve the same bytes:
+    the process pool, the inherited weights and the batcher's lanes are
+    transport, never arithmetic.  Batch-1 policy pins the composition so
+    the BLAS shape caveat (module docstring) cannot blur the comparison.
     """
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("engine", ["tape", "plan"])
     @pytest.mark.parametrize("tracing", [False, True])
     def test_bitwise_identical_across_backends(self, checkpoint, workers,
-                                               engine, tracing,
-                                               tmp_path_factory):
+                                               tracing, tmp_path_factory):
         from repro.obs import disable_tracing, enable_tracing
 
         trainer, path, clips = checkpoint
         expected = trainer.predict(clips, batch_size=1)
         if tracing:
             trace_path = (tmp_path_factory.mktemp("matrix-trace")
-                          / f"w{workers}-{engine}.jsonl")
+                          / f"w{workers}.jsonl")
             enable_tracing(trace_path)
         try:
-            served = serve_model(path, workers=workers, engine=engine,
-                                 max_batch_size=1, max_wait_ms=0.0,
-                                 cache_entries=0)
+            served = serve_model(path, workers=workers, max_batch_size=1,
+                                 max_wait_ms=0.0, cache_entries=0)
             assert served.workers == workers
             assert (served.pool is not None) == (workers > 1)
-            # twice: the second pass must replay any compiled plan and
-            # hit the same bytes again
+            # twice: warmed workers must hit the same bytes again
             for _ in range(2):
                 got = np.stack([served.batcher.submit(clip, timeout_s=60)
                                 for clip in clips])
@@ -249,9 +243,8 @@ class TestTelemetryObservationOnly:
     it reads metric snapshots and span payloads, never the batch."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("engine", ["tape", "plan"])
     def test_bitwise_identical_with_telemetry_on_vs_off(
-            self, checkpoint, workers, engine, tmp_path_factory):
+            self, checkpoint, workers, tmp_path_factory):
         import json
 
         trainer, path, clips = checkpoint
@@ -264,9 +257,8 @@ class TestTelemetryObservationOnly:
                 telemetry_interval_s=0.05,
                 slo_fast_window_s=0.1, slo_slow_window_s=1.0,
                 flight_dump_dir=str(tmp_path_factory.mktemp("fdump")))
-            served = serve_model(path, workers=workers, engine=engine,
-                                 max_batch_size=1, max_wait_ms=0.0,
-                                 cache_entries=0)
+            served = serve_model(path, workers=workers, max_batch_size=1,
+                                 max_wait_ms=0.0, cache_entries=0)
             server = PredictServer(served, config).start()
             try:
                 host, port = server.address

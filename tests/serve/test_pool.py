@@ -56,7 +56,7 @@ def wait_until(predicate, timeout_s: float) -> bool:
     return predicate()
 
 
-def _inspect_parameters(model, executor, batch, engine):
+def _inspect_parameters(model, batch):
     """Stand-in forward run inside a worker: the inherited parameters, and
     for each whether an in-place write was refused."""
     refused = []

@@ -309,6 +309,11 @@ class TestIntrospection:
         assert payload["models"] == ["peb"]
         assert "peb:v1" in payload["queues"]
         assert payload["queues"]["peb:v1"]["queue_depth"] == 0
+        assert "cache_evictions" in payload["queues"]["peb:v1"]
+        caches = payload["caches"]
+        assert "hit_rate" in caches["propagator"]
+        assert ({"capacity", "entries", "hit_rate", "evictions"}
+                <= set(caches["response"]["peb:v1"]))
 
     def test_models_listing(self, conn):
         conn.request("GET", "/v1/models")
@@ -328,6 +333,12 @@ class TestIntrospection:
         assert "repro_serve_requests_total" in body
         assert "repro_serve_batch_size_bucket" in body
         assert "repro_serve_request_seconds_count" in body
+        # refresh-on-scrape levels are gauges (no _total suffix);
+        # cumulative families keep their counter rendering
+        for needle in ("# TYPE repro_serve_cache_entries gauge",
+                       "# TYPE repro_serve_cache_evictions gauge",
+                       "repro_cache_propagator_hits_total"):
+            assert needle in body, f"missing {needle} in /metrics"
 
     def test_get_unknown_route_404(self, conn):
         conn.request("GET", "/v1/predict")

@@ -6,8 +6,7 @@ were before: one strided patch copy, one small matmul and one add per
 kernel offset.  The GEMMs sum in another order, so the pin is a relative
 tolerance of 1e-12 (float64 rounding is ~1e-16), not bitwise equality.
 Bitwise equality is pinned where the arithmetic is the same: run to run,
-across threads, across stale scratch contents, and between the tape and a
-compiled plan.
+across threads, across stale scratch contents, and across rebinding.
 """
 
 import itertools
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from repro import nn
 from repro.config import GridConfig
 from repro.experiments import build_method
-from repro.tensor import Tensor, capture, no_grad, ops_nn
+from repro.tensor import Tensor, no_grad, ops_nn
 
 RELATIVE = 1e-12
 
@@ -232,8 +231,8 @@ class TestBitwise:
         assert np.array_equal(got, want)
 
     def test_rebound_kernel_reads_current_inputs(self):
-        """A bound kernel (a plan step) recomputes from whatever its input
-        buffers hold when it runs."""
+        """A bound kernel recomputes from whatever its input buffers hold
+        when it runs."""
         rng = np.random.default_rng(5)
         x, w = rng.standard_normal((1, 2, 4, 6, 6)), rng.standard_normal((3, 2, 3, 3, 3))
         out = np.empty((1, 3, 4, 6, 6))
@@ -275,17 +274,3 @@ class TestBitwise:
         with pytest.raises(ValueError, match="C-contiguous"):
             ops_nn.conv3d_kernel(np.empty((1, 1, 4, 6, 3)), x, np.zeros((1, 2, 1, 1, 1)),
                                  1, 0, 1)
-
-
-@pytest.mark.slow
-class TestPlanAtDefaultGrid:
-    @pytest.mark.parametrize("batch", [1, 2])
-    def test_sdmpeb_plan_matches_tape_bitwise(self, batch):
-        model = sdmpeb(DEFAULT_GRID)
-        shape = (batch, 1) + DEFAULT_GRID.shape
-        x0 = np.random.default_rng(40 + batch).random(shape)
-        x1 = np.random.default_rng(140 + batch).random(shape)
-        with no_grad():
-            plan = capture(lambda t: model(t), x0, label=f"sdmpeb-64-b{batch}")
-            for x in (x0, x1):
-                assert np.array_equal(plan.run(x), model(Tensor(x)).numpy())
