@@ -20,9 +20,8 @@ import numpy as np
 from repro import nn
 from repro.config import GridConfig, LithoConfig
 from repro.experiments import ExperimentSettings, build_method, prepare_data, train_method
-from repro.litho import (
-    RigorousPEBBackend, SurrogatePEBBackend, calibrate_mask_bias, generate_clip,
-)
+from repro.litho import RigorousPEBBackend, calibrate_mask_bias, generate_clip
+from repro.litho.ilt import DifferentiableSurrogateBackend
 
 config = LithoConfig(grid=GridConfig(size_um=1.0, nx=32, ny=32, nz=4))
 settings = ExperimentSettings(num_clips=10, epochs=15, lr_step_size=6,
@@ -47,7 +46,7 @@ print(f"   rigorous-in-the-loop : CD RMS {rigorous_result.initial_rms_nm:.1f} ->
 
 start = time.perf_counter()
 surrogate_result = calibrate_mask_bias(
-    clip, config, SurrogatePEBBackend(model), iterations=3)
+    clip, config, DifferentiableSurrogateBackend(model, config.peb), iterations=3)
 surrogate_time = time.perf_counter() - start
 print(f"   surrogate-in-the-loop: CD RMS {surrogate_result.initial_rms_nm:.1f} -> "
       f"{surrogate_result.final_rms_nm:.1f} nm in {surrogate_time:.1f}s")

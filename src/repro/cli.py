@@ -6,7 +6,8 @@ Subcommands mirror the stages a user actually runs:
 * ``train``     — fit a surrogate (any Table II method) on cached clips
   and save its weights;
 * ``predict``   — load weights and predict inhibitor volumes for clips;
-* ``evaluate``  — full Table II-style evaluation of saved weights;
+* ``evaluate``  — full Table II-style evaluation of saved weights
+  (both take the method and grid from the checkpoint's manifest);
 * ``reproduce`` — regenerate all tables/figures (wraps
   :mod:`repro.experiments.reproduce_all`);
 * ``serve``     — batched inference HTTP service over a saved
@@ -47,6 +48,7 @@ from repro.experiments import (
     ExperimentSettings, TABLE2_METHODS, build_method, evaluate_method,
     train_method,
 )
+from repro.nn.module import normalize_weights_path
 
 
 class CLIError(Exception):
@@ -55,8 +57,6 @@ class CLIError(Exception):
 
 def _weights_or_cli_error(path_text: str) -> Path:
     """The normalized weights path, or a friendly CLIError when unusable."""
-    from repro.nn.module import normalize_weights_path
-
     path = normalize_weights_path(path_text)
     if not path.exists():
         raise CLIError(
@@ -74,20 +74,33 @@ def _weights_or_cli_error(path_text: str) -> Path:
     return path
 
 
-def _settings_from_args(args) -> ExperimentSettings:
-    grid = GridConfig(size_um=args.clip_um, nx=args.nx, ny=args.nx, nz=args.nz)
-    settings = ExperimentSettings(
+def _load_checkpoint(path_text: str):
+    """``(model, manifest)`` of a hash-verified checkpoint, or a CLIError."""
+    from repro.serve import RegistryError, load_checkpoint
+
+    weights = _weights_or_cli_error(path_text)
+    try:
+        return load_checkpoint(weights)
+    except RegistryError as error:
+        raise CLIError(str(error)) from error
+
+
+def _settings_from_args(args, grid: GridConfig | None = None) -> ExperimentSettings:
+    """Dataset settings; ``grid`` defaults to the ``--nx/--nz/--clip-um`` flags."""
+    if grid is None:
+        grid = GridConfig(size_um=args.clip_um, nx=args.nx, ny=args.nx, nz=args.nz)
+    return ExperimentSettings(
         num_clips=args.clips, epochs=args.epochs, cache_dir=args.cache,
         config=LithoConfig(grid=grid), workers=args.workers,
     )
-    return settings
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, grid: bool = True) -> None:
     parser.add_argument("--clips", type=int, default=12, help="number of clips")
-    parser.add_argument("--nx", type=int, default=32, help="x/y grid points")
-    parser.add_argument("--nz", type=int, default=4, help="depth grid points")
-    parser.add_argument("--clip-um", type=float, default=1.0, help="clip size in um")
+    if grid:  # predict and evaluate take theirs from the checkpoint's manifest
+        parser.add_argument("--nx", type=int, default=32, help="x/y grid points")
+        parser.add_argument("--nz", type=int, default=4, help="depth grid points")
+        parser.add_argument("--clip-um", type=float, default=1.0, help="clip size in um")
     parser.add_argument("--cache", default=".repro_cache", help="dataset cache dir")
     parser.add_argument("--workers", type=int, default=None,
                         help="processes for rigorous dataset generation "
@@ -124,48 +137,26 @@ def cmd_train(args) -> int:
     train_method(model, loss_config, train_set, settings, verbose=True)
     from repro.serve import save_checkpoint
 
-    weights = model.save(args.weights)
-    stats = {"method": args.method, "output_mean": model.output_mean,
-             "output_std": model.output_std, "epochs": settings.epochs}
-    weights.with_suffix(".json").write_text(json.dumps(stats, indent=2))
-    manifest = save_checkpoint(model, weights, method=args.method,
+    manifest = save_checkpoint(model, args.weights, method=args.method,
                                grid=settings.config.grid,
                                extra={"epochs": settings.epochs})
-    print(f"weights saved to {weights} "
+    print(f"weights saved to {normalize_weights_path(args.weights)} "
           f"(manifest {manifest.content_hash[:19]}..., "
           f"{manifest.param_count} params)")
     return 0
 
 
-def _load_model(args, grid: GridConfig):
-    weights = _weights_or_cli_error(args.weights)
-    sidecar = weights.with_suffix(".json")
-    if not sidecar.exists():
-        raise CLIError(
-            f"no metadata sidecar at {sidecar}\n"
-            "  (written by `train` next to the weights; re-train or restore it)")
-    try:
-        meta = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as error:
-        raise CLIError(f"metadata sidecar {sidecar} is not valid JSON: {error}") from error
-    nn.init.seed(args.seed)
-    model, _ = build_method(meta["method"], grid)
-    model.load(weights)
-    model.set_output_stats(meta["output_mean"], meta["output_std"])
-    return model, meta
-
-
 def cmd_predict(args) -> int:
-    settings = _settings_from_args(args)
+    model, manifest = _load_checkpoint(args.weights)
+    settings = _settings_from_args(args, manifest.grid_config())
     dataset = generate_dataset(settings.num_clips, settings.config,
                                cache_dir=settings.cache_dir)
-    model, meta = _load_model(args, settings.config.grid)
     sample = dataset.samples[args.clip]
     inhibitor = model.predict_inhibitor(sample.acid)
     np.savez_compressed(args.out, acid=sample.acid, inhibitor=inhibitor,
                         truth=sample.inhibitor)
     error = np.abs(inhibitor - sample.inhibitor)
-    print(f"{meta['method']} prediction for clip {args.clip}: "
+    print(f"{manifest.model_class} prediction for clip {args.clip}: "
           f"max |error| {error.max():.4f}, mean {error.mean():.5f}")
     print(f"arrays saved to {args.out}")
     return 0
@@ -174,14 +165,14 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from repro.core import Trainer, TrainConfig
 
-    settings = _settings_from_args(args)
+    model, manifest = _load_checkpoint(args.weights)
+    settings = _settings_from_args(args, manifest.grid_config())
     train_set, test_set = generate_dataset(
         settings.num_clips, settings.config, cache_dir=settings.cache_dir).split(0.8)
-    model, meta = _load_model(args, settings.config.grid)
     trainer = Trainer(model, train_set.inputs(), train_set.labels(), TrainConfig(epochs=1))
     # Trainer.__init__ resets output stats from data; restore the saved ones.
-    model.set_output_stats(meta["output_mean"], meta["output_std"])
-    result = evaluate_method(meta["method"], trainer, test_set, settings)
+    model.set_output_stats(manifest.output_mean, manifest.output_std)
+    result = evaluate_method(manifest.model_class, trainer, test_set, settings)
     print(f"{'method':<16}: {result.name}")
     print(f"{'RMSE(I)':<16}: {result.inhibitor_rmse * 1e3:.2f}e-3")
     print(f"{'NRMSE(I)':<16}: {result.inhibitor_nrmse * 100:.2f}%")
@@ -209,7 +200,6 @@ def cmd_serve(args) -> int:
     from repro.serve import (
         DEFAULT_LATENCY_BUCKETS, BatchPolicy, JobService, ModelRegistry,
         PredictServer, RegistryError, ServeConfig, ServedModel,
-        import_legacy_sidecar, load_checkpoint, manifest_path_for,
     )
 
     policy = BatchPolicy(max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
@@ -234,15 +224,7 @@ def cmd_serve(args) -> int:
                 raise CLIError(f"registry {args.registry} has no published models")
             loaded = [registry.load(name, args.model_version) for name in names]
         else:
-            weights = _weights_or_cli_error(args.ckpt)
-            if not manifest_path_for(weights).exists():
-                # pre-registry checkpoint: synthesize a manifest from the
-                # legacy train sidecar + the grid flags
-                grid = GridConfig(size_um=args.clip_um, nx=args.nx, ny=args.nx,
-                                  nz=args.nz)
-                import_legacy_sidecar(weights, grid)
-                print(f"synthesized manifest for legacy checkpoint {weights}")
-            loaded = [load_checkpoint(weights)]
+            loaded = [_load_checkpoint(args.ckpt)]
     except RegistryError as error:
         raise CLIError(str(error)) from error
     # install the drain handlers before any pooled backend forks its
@@ -489,17 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict one clip with saved weights")
-    _add_common(p)
+    _add_common(p, grid=False)
     p.add_argument("--weights", default="model.npz")
     p.add_argument("--clip", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="prediction.npz")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="evaluate saved weights on the test split")
-    _add_common(p)
+    _add_common(p, grid=False)
     p.add_argument("--weights", default="model.npz")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("reproduce", help="regenerate all tables and figures")
@@ -515,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="batched inference HTTP service over a checkpoint")
     p.add_argument("--ckpt", "--weights", dest="ckpt", default="model.npz",
-                   help="weights npz (with manifest or legacy train sidecar)")
+                   help="weights npz with the manifest `train` wrote beside it")
     p.add_argument("--registry", default=None,
                    help="serve published models from this registry directory "
                         "instead of --ckpt")
@@ -541,11 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "else 1 = in-process)")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
-    # grid fallback used only when synthesizing a manifest for a legacy
-    # checkpoint that predates the registry
-    p.add_argument("--nx", type=int, default=32, help="x/y grid points (legacy ckpt)")
-    p.add_argument("--nz", type=int, default=4, help="depth grid points (legacy ckpt)")
-    p.add_argument("--clip-um", type=float, default=1.0, help="clip size in um (legacy ckpt)")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="record serving spans to this JSONL file")
     p.add_argument("--no-health-checks", action="store_true",

@@ -23,9 +23,7 @@ from .profile import (
     cd_error_rms,
 )
 from .surface import height_map, export_obj
-from .opc import (
-    OPCResult, RigorousPEBBackend, SurrogatePEBBackend, calibrate_mask_bias,
-)
+from .opc import OPCResult, RigorousPEBBackend, calibrate_mask_bias
 from .metrology import (
     EdgePlacement, ProfileReport, edge_placement_error, cd_uniformity,
     sidewall_angle, resist_loss, developed_fraction_by_depth, profile_report,
@@ -44,7 +42,7 @@ __all__ = [
     "development_arrival", "resist_mask", "measure_cd", "measure_edges",
     "contact_cds", "cd_error_rms",
     "height_map", "export_obj",
-    "OPCResult", "RigorousPEBBackend", "SurrogatePEBBackend", "calibrate_mask_bias",
+    "OPCResult", "RigorousPEBBackend", "calibrate_mask_bias",
     "EdgePlacement", "ProfileReport", "edge_placement_error", "cd_uniformity",
     "sidewall_angle", "resist_loss", "developed_fraction_by_depth", "profile_report",
 ]

@@ -200,12 +200,13 @@ class GaussianPEBBackend:
 
 
 class DifferentiableSurrogateBackend:
-    """Trained SDM-PEB surrogate with gradients through the network.
+    """A trained surrogate (SDM-PEB or a baseline) as the PEB backend.
 
-    ``inhibitor`` matches :meth:`SurrogatePEBBackend.inhibitor` bitwise;
-    ``inhibitor_t`` runs the same forward on the tape so mask gradients
-    flow through the network weights (which stay fixed — only the mask
-    is optimized).
+    ``inhibitor`` is the model's ``predict_inhibitor``, a no-grad
+    forward; rule-based OPC (:func:`repro.litho.opc.calibrate_mask_bias`)
+    calls only that.  ``inhibitor_t`` runs the same forward on the tape
+    so mask gradients flow through the network weights (which stay
+    fixed — only the mask is optimized).
     """
 
     def __init__(self, model, peb: PEBConfig | None = None):

@@ -4,8 +4,9 @@ The paper motivates fast PEB surrogates with design-loop integration
 (Section I).  This module closes that loop: iteratively resize each
 mask contact so its *printed* CD converges to the design target, with
 the PEB step computed either by the rigorous solver or by any trained
-surrogate — the surrogate makes the loop cheap, which is exactly the
-acceleration story of the paper.
+surrogate (:class:`repro.litho.ilt.DifferentiableSurrogateBackend`) —
+the surrogate makes the loop cheap, which is exactly the acceleration
+story of the paper.
 
 The controller is a damped proportional update on each contact's mask
 bias, the standard rule-based OPC baseline.
@@ -36,20 +37,6 @@ class RigorousPEBBackend:
 
     def inhibitor(self, acid: np.ndarray) -> np.ndarray:
         return self._solver.solve(acid).inhibitor
-
-
-class SurrogatePEBBackend:
-    """PEB via a trained surrogate (fast).
-
-    ``model`` is any module with ``predict_inhibitor`` (SDM-PEB or a
-    baseline); this is the drop-in acceleration the paper targets.
-    """
-
-    def __init__(self, model):
-        self.model = model
-
-    def inhibitor(self, acid: np.ndarray) -> np.ndarray:
-        return self.model.predict_inhibitor(acid)
 
 
 @dataclass

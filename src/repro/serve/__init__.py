@@ -39,8 +39,8 @@ from .jobs import JobService
 from .pool import WorkerCrashedError, WorkerPool, resolve_serve_workers
 from .registry import (
     IntegrityError, ModelManifest, ModelRegistry, RegistryError,
-    import_legacy_sidecar, load_checkpoint, manifest_path_for, read_manifest,
-    save_checkpoint, verify_checkpoint,
+    load_checkpoint, manifest_path_for, read_manifest, save_checkpoint,
+    verify_checkpoint,
 )
 from .server import (
     DEFAULT_LATENCY_BUCKETS, PredictServer, ServeConfig, ServedModel,
@@ -52,7 +52,7 @@ __all__ = [
     "DeadlineExceededError", "BatcherClosedError", "content_hash",
     "ModelManifest", "ModelRegistry", "RegistryError", "IntegrityError",
     "save_checkpoint", "load_checkpoint", "read_manifest", "verify_checkpoint",
-    "manifest_path_for", "import_legacy_sidecar",
+    "manifest_path_for",
     "PredictServer", "ServeConfig", "ServedModel", "render_prometheus",
     "escape_label_value", "DEFAULT_LATENCY_BUCKETS", "JobService",
     "WorkerPool", "WorkerCrashedError", "resolve_serve_workers",

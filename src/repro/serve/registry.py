@@ -28,8 +28,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from repro import nn
 from repro.config import GridConfig
 from repro.nn.module import normalize_weights_path
@@ -105,6 +103,10 @@ class ModelManifest:
                    if f.name not in payload and f.name not in ("schema_version", "extra")]
         if missing:
             raise RegistryError(f"{source}: manifest missing fields {missing}")
+        grid, grid_fields = payload["grid"], {f.name for f in fields(GridConfig)}
+        if not isinstance(grid, dict) or set(grid) != grid_fields:
+            raise RegistryError(f"{source}: field 'grid' must be an object with "
+                                f"exactly the keys {sorted(grid_fields)}, got {grid!r}")
         schema = payload.get("schema_version", MANIFEST_SCHEMA_VERSION)
         if schema > MANIFEST_SCHEMA_VERSION:
             raise RegistryError(f"{source}: manifest schema v{schema} is newer than "
@@ -125,11 +127,22 @@ class ModelManifest:
 _MANIFEST_FIELDS = fields(ModelManifest)
 
 
-def _build_model(manifest: ModelManifest):
-    from repro.experiments import build_method
+def _build_model(manifest: ModelManifest, weights: Path):
+    from repro.experiments import TABLE2_METHODS, build_method
 
+    source = manifest_path_for(weights)
+    if manifest.model_class not in TABLE2_METHODS:
+        raise RegistryError(f"{source}: field 'model_class' names unknown method "
+                            f"{manifest.model_class!r} (known: {list(TABLE2_METHODS)})")
     nn.init.seed(REBUILD_SEED)
     model, _ = build_method(manifest.model_class, manifest.grid_config())
+    try:
+        model.load(weights)
+    except (KeyError, ValueError) as error:
+        # load_state_dict's first line counts the offending parameters
+        raise RegistryError(
+            f"{weights} does not fit the {manifest.model_class!r} that {source} "
+            f"names in 'model_class': {str(error.args[0]).splitlines()[0]}") from error
     return model
 
 
@@ -168,8 +181,8 @@ def read_manifest(weights_path: str | Path) -> ModelManifest:
     """Parse the manifest sidecar of a standalone checkpoint."""
     path = manifest_path_for(weights_path)
     if not path.exists():
-        raise RegistryError(f"no manifest at {path}; publish the checkpoint with "
-                            "save_checkpoint() or a ModelRegistry")
+        raise RegistryError(f"no manifest at {path}; `repro train` writes one beside "
+                            "the weights, as do save_checkpoint() and a ModelRegistry")
     return ModelManifest.from_json(path.read_text(), source=str(path))
 
 
@@ -200,8 +213,7 @@ def load_checkpoint(weights_path: str | Path, verify: bool = True):
     manifest = read_manifest(weights)
     if verify:
         verify_checkpoint(weights, manifest)
-    model = _build_model(manifest)
-    model.load(weights)
+    model = _build_model(manifest, weights)
     model.set_output_stats(manifest.output_mean, manifest.output_std)
     return model, manifest
 
@@ -310,31 +322,3 @@ class ModelRegistry:
                 out.append(summary)
         return out
 
-
-def import_legacy_sidecar(weights_path: str | Path, grid: GridConfig) -> ModelManifest:
-    """Synthesize a manifest for a pre-registry ``cli train`` checkpoint.
-
-    ``cli train`` historically wrote ``<weights>.json`` holding only the
-    method name and output stats; the grid must be supplied by the
-    caller (the CLI's ``--nx/--nz/--clip-um`` flags).  The synthesized
-    manifest is written as a proper sidecar so subsequent loads verify.
-    """
-    weights = normalize_weights_path(weights_path)
-    legacy = weights.with_suffix(".json")
-    if not legacy.exists():
-        raise RegistryError(f"no legacy sidecar at {legacy}")
-    meta = json.loads(legacy.read_text())
-    state_sizes: int
-    with np.load(str(weights)) as archive:
-        state_sizes = int(sum(archive[k].size for k in archive.files))
-        dtypes = sorted({str(archive[k].dtype) for k in archive.files})
-    manifest = ModelManifest(
-        name=weights.stem, version=1, model_class=meta["method"],
-        grid=asdict(grid), dtype=dtypes[0] if len(dtypes) == 1 else "mixed",
-        param_count=state_sizes, content_hash=_sha256_file(weights),
-        output_mean=float(meta["output_mean"]), output_std=float(meta["output_std"]),
-        created_unix_s=round(time.time(), 3),
-        extra={"imported_from": legacy.name, "epochs": meta.get("epochs")},
-    )
-    manifest_path_for(weights).write_text(manifest.to_json())
-    return manifest

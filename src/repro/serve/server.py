@@ -45,6 +45,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import socket
 import sys
 import threading
 import time
@@ -636,6 +637,10 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     block_on_close = False
     allow_reuse_address = True
+    # socketserver's listen backlog of 5 drops the SYNs of a burst of new
+    # connections, stalling each such client for the 1 s SYN retransmit;
+    # the kernel caps this at net.core.somaxconn
+    request_queue_size = socket.SOMAXCONN
 
     def handle_error(self, request, client_address) -> None:
         # a client that went away (say, reset an idle keep-alive

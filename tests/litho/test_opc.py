@@ -5,9 +5,8 @@ import pytest
 
 from repro.config import GridConfig, LithoConfig
 from repro.litho import generate_clip
-from repro.litho.opc import (
-    OPCResult, RigorousPEBBackend, SurrogatePEBBackend, calibrate_mask_bias,
-)
+from repro.litho.ilt import DifferentiableSurrogateBackend
+from repro.litho.opc import OPCResult, RigorousPEBBackend, calibrate_mask_bias
 
 CONFIG = LithoConfig(grid=GridConfig(size_um=0.8, nx=24, ny=24, nz=2))
 
@@ -61,12 +60,12 @@ class TestSurrogateBackend:
 
     def test_surrogate_backend_used(self, clip):
         surrogate = self.PerfectSurrogate()
-        backend = SurrogatePEBBackend(surrogate)
+        backend = DifferentiableSurrogateBackend(surrogate)
         result = calibrate_mask_bias(clip, CONFIG, backend, iterations=2)
         assert surrogate.calls == 3  # 2 iterations + final measurement
         assert isinstance(result, OPCResult)
 
     def test_matching_backends_agree(self, clip, rigorous):
-        surrogate = SurrogatePEBBackend(self.PerfectSurrogate())
+        surrogate = DifferentiableSurrogateBackend(self.PerfectSurrogate())
         result = calibrate_mask_bias(clip, CONFIG, surrogate, iterations=3, gain=0.7)
         assert np.allclose(result.biases_nm, rigorous.biases_nm)

@@ -10,8 +10,8 @@ from repro.config import GridConfig
 from repro.experiments import build_method
 from repro.serve import (
     IntegrityError, ModelManifest, ModelRegistry, RegistryError,
-    import_legacy_sidecar, load_checkpoint, manifest_path_for, read_manifest,
-    save_checkpoint, verify_checkpoint,
+    load_checkpoint, manifest_path_for, read_manifest, save_checkpoint,
+    verify_checkpoint,
 )
 from repro.tensor import Tensor, no_grad
 
@@ -143,17 +143,3 @@ class TestRegistry:
         listing = registry.models()
         assert [(m["version"], m["latest"]) for m in listing] == [(1, False), (2, True)]
 
-
-class TestLegacyImport:
-    def test_sidecar_synthesized(self, tmp_path):
-        model = tiny_model()
-        weights = model.save(tmp_path / "legacy.npz")
-        weights.with_suffix(".json").write_text(json.dumps(
-            {"method": "DeepCNN", "output_mean": 0.25, "output_std": 2.0,
-             "epochs": 5}))
-        manifest = import_legacy_sidecar(weights, GRID)
-        assert manifest.model_class == "DeepCNN"
-        assert manifest.extra["epochs"] == 5
-        loaded, _ = load_checkpoint(weights)
-        x = np.random.default_rng(2).random(GRID.shape)
-        assert np.array_equal(forward(loaded, x), forward(model, x))

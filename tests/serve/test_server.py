@@ -8,7 +8,7 @@ import struct
 import threading
 import tracemalloc
 import zlib
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPResponse
 
 import numpy as np
 import pytest
@@ -343,6 +343,42 @@ class TestIntrospection:
     def test_get_unknown_route_404(self, conn):
         conn.request("GET", "/v1/predict")
         assert conn.getresponse().status == 404
+
+
+class TestListenBacklog:
+    def test_connection_burst_waits_for_accept(self, tmp_path):
+        """16 clients connect before the accept loop runs. socketserver's
+        backlog of 5 lets 6 in and drops the others' SYNs (each then
+        stalls for the 1 s SYN retransmit); the server's backlog holds
+        them all, and each gets its answer once the loop starts."""
+        registry = ModelRegistry(tmp_path / "reg")
+        instance = PredictServer(make_served(2, name="burst", registry=registry),
+                                 ServeConfig(port=0))
+        sockets = []
+        for _ in range(16):
+            sock = socket.socket()
+            sock.settimeout(0.5)
+            try:
+                sock.connect(instance.address)
+            except OSError:
+                sock.close()
+                continue
+            sockets.append(sock)
+        instance.start()
+        try:
+            assert len(sockets) == 16
+            for sock in sockets:
+                sock.settimeout(30)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                             b"Connection: close\r\n\r\n")
+                response = HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                response.read()
+        finally:
+            for sock in sockets:
+                sock.close()
+            instance.shutdown()
 
 
 class TestShutdown:

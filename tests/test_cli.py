@@ -1,18 +1,32 @@
 """CLI: every subcommand exercised end-to-end at micro scale."""
 
+import io
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+from http.client import HTTPConnection
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import cli
+from repro.config import PEBConfig
+from repro.core import label_to_inhibitor
+from repro.serve import manifest_path_for, read_manifest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args) -> int:
     return cli.main(args)
 
 
+#: simulate and train take the grid; predict, evaluate and serve read it
+#: from the checkpoint's manifest
 COMMON = ["--clips", "3", "--nx", "16", "--nz", "2", "--clip-um", "0.8"]
 
 
@@ -41,6 +55,13 @@ class TestParser:
         args = cli.build_parser().parse_args(["simulate"])
         assert args.clips == 12 and args.nx == 32
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "serve"])
+    def test_grid_flags_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args([command, "--nx", "16"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --nx 16" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_cache_populated(self, workspace):
@@ -52,16 +73,19 @@ class TestTrain:
     def test_weights_and_metadata_written(self, workspace):
         base, _, weights = workspace
         assert Path(weights).exists()
-        meta = json.loads(Path(weights).with_suffix(".json").read_text())
-        assert meta["method"] == "DeepCNN"
-        assert "output_mean" in meta and "output_std" in meta
+        # the manifest is the one metadata file: no JSON sidecar
+        assert not Path(weights).with_suffix(".json").exists()
+        manifest = read_manifest(weights)
+        assert manifest.model_class == "DeepCNN"
+        assert np.isfinite(manifest.output_mean) and manifest.output_std > 0
+        assert manifest.extra == {"epochs": 2}
 
 
 class TestPredict:
     def test_prediction_file(self, workspace):
         base, cache, weights = workspace
         out = str(base / "prediction.npz")
-        code = run_cli(["predict", *COMMON, "--cache", cache,
+        code = run_cli(["predict", "--clips", "3", "--cache", cache,
                         "--weights", weights, "--clip", "0", "--out", out])
         assert code == 0
         with np.load(out) as archive:
@@ -72,7 +96,8 @@ class TestPredict:
 class TestEvaluate:
     def test_evaluation_runs(self, workspace, capsys):
         base, cache, weights = workspace
-        code = run_cli(["evaluate", *COMMON, "--cache", cache, "--weights", weights])
+        code = run_cli(["evaluate", "--clips", "3", "--cache", cache,
+                        "--weights", weights])
         assert code == 0
         output = capsys.readouterr().out
         assert "NRMSE(I)" in output and "CD error" in output
@@ -83,7 +108,7 @@ class TestFriendlyErrors:
 
     def test_predict_missing_weights(self, workspace, capsys):
         base, cache, _ = workspace
-        code = run_cli(["predict", *COMMON, "--cache", cache,
+        code = run_cli(["predict", "--clips", "3", "--cache", cache,
                         "--weights", str(base / "nope.npz"),
                         "--out", str(base / "p.npz")])
         assert code == 2
@@ -94,7 +119,7 @@ class TestFriendlyErrors:
 
     def test_evaluate_missing_weights(self, workspace, capsys):
         base, cache, _ = workspace
-        code = run_cli(["evaluate", *COMMON, "--cache", cache,
+        code = run_cli(["evaluate", "--clips", "3", "--cache", cache,
                         "--weights", str(base / "missing" / "w.npz")])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -103,7 +128,7 @@ class TestFriendlyErrors:
         base, cache, _ = workspace
         bad = base / "corrupt.npz"
         bad.write_bytes(b"definitely not a zip archive")
-        code = run_cli(["evaluate", *COMMON, "--cache", cache,
+        code = run_cli(["evaluate", "--clips", "3", "--cache", cache,
                         "--weights", str(bad)])
         assert code == 2
         err = capsys.readouterr().err
@@ -114,6 +139,144 @@ class TestFriendlyErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+def copy_checkpoint(weights, target_dir: Path) -> Path:
+    """The weights and their manifest, copied under ``target_dir``."""
+    target_dir.mkdir()
+    copy = target_dir / "model.npz"
+    shutil.copy(weights, copy)
+    shutil.copy(manifest_path_for(weights), manifest_path_for(copy))
+    return copy
+
+
+def loading_command(command: str, weights: Path, cache: str) -> list[str]:
+    if command == "serve":
+        return ["serve", "--ckpt", str(weights), "--port", "0", "--no-jobs"]
+    argv = [command, "--clips", "3", "--cache", cache, "--weights", str(weights)]
+    if command == "predict":
+        argv += ["--out", str(weights.with_name("p.npz"))]
+    return argv
+
+
+def single_error(capsys) -> str:
+    """stderr of a command that failed closed: one ``error:`` line, no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1, err
+    return err
+
+
+#: manifests that parse as JSON but describe no model the weights fit;
+#: the value is the field the error must name
+MALFORMED = {
+    "unknown-model-class": (lambda m: m.update(model_class="GPT-7"), "model_class"),
+    "unknown-grid-key": (lambda m: m["grid"].update(bogus=1), "grid"),
+    "missing-grid-field": (lambda m: m["grid"].pop("thickness_nm"), "grid"),
+    "grid-not-an-object": (lambda m: m.update(grid=[16, 16, 2]), "grid"),
+    "weights-of-another-class": (lambda m: m.update(model_class="TEMPO-resist"),
+                                 "model_class"),
+}
+
+
+class TestFailClosed:
+    """predict, evaluate and serve load one way, through the manifest, and
+    refuse a checkpoint they cannot trust with one line and exit 2."""
+
+    @pytest.fixture(autouse=True)
+    def serving_never_starts(self, monkeypatch):
+        # a serve that got past loading would block in its accept loop
+        import repro.serve
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("serve got past checkpoint loading")
+        monkeypatch.setattr(repro.serve, "ServedModel", refuse)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "serve"])
+    def test_altered_weights(self, workspace, command, capsys):
+        base, cache, weights = workspace
+        copy = copy_checkpoint(weights, base / f"altered-{command}")
+        with np.load(copy) as archive:
+            state = {name: archive[name] for name in archive.files}
+        first = sorted(state)[0]
+        state[first] = state[first] + 1.0
+        np.savez(copy, **state)
+        assert run_cli(loading_command(command, copy, cache)) == 2
+        assert "integrity" in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "serve"])
+    def test_weights_without_manifest(self, workspace, command, capsys):
+        base, cache, weights = workspace
+        copy = copy_checkpoint(weights, base / f"bare-{command}")
+        manifest_path_for(copy).unlink()
+        assert run_cli(loading_command(command, copy, cache)) == 2
+        err = single_error(capsys)
+        assert "no manifest" in err and "train" in err
+
+    @pytest.mark.parametrize("command", ["predict", "serve"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_manifest(self, workspace, command, case, capsys):
+        base, cache, weights = workspace
+        copy = copy_checkpoint(weights, base / f"{case}-{command}")
+        edit, field = MALFORMED[case]
+        manifest = json.loads(manifest_path_for(copy).read_text())
+        edit(manifest)
+        manifest_path_for(copy).write_text(json.dumps(manifest))
+        assert run_cli(loading_command(command, copy, cache)) == 2
+        err = single_error(capsys)
+        assert str(copy.parent) in err and f"'{field}'" in err
+
+
+class TestRoundTrip:
+    """train → predict → evaluate → serve on one manifest: each command
+    loads the checkpoint ``train`` wrote, and the served prediction is
+    ``predict``'s, bitwise (both one batch-1 forward under no_grad)."""
+
+    def start_server(self, weights, workdir):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--ckpt", str(weights),
+             "--port", "0", "--no-jobs"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            cwd=workdir, env=env)
+        output = []
+        for line in process.stdout:
+            output.append(line)
+            if line.startswith("listening on http://"):
+                return process, int(line.split()[2].rsplit(":", 1)[1])
+        process.wait(10.0)
+        pytest.fail("server died early:\n" + "".join(output))
+
+    def test_served_prediction_is_predicts(self, workspace, capsys):
+        base, cache, weights = workspace
+        out = base / "roundtrip.npz"
+        assert run_cli(["predict", "--clips", "3", "--cache", cache,
+                        "--weights", weights, "--out", str(out)]) == 0
+        assert run_cli(["evaluate", "--clips", "3", "--cache", cache,
+                        "--weights", weights]) == 0
+        assert "DeepCNN" in capsys.readouterr().out
+        with np.load(out) as archive:
+            acid, inhibitor = archive["acid"], archive["inhibitor"]
+        process, port = self.start_server(weights, base)
+        try:
+            body = io.BytesIO()
+            np.savez(body, acid=acid)
+            connection = HTTPConnection("127.0.0.1", port, timeout=60)
+            connection.request("POST", "/v1/predict", body=body.getvalue(),
+                               headers={"Content-Type": "application/octet-stream"})
+            response = connection.getresponse()
+            assert response.status == 200
+            with np.load(io.BytesIO(response.read())) as archive:
+                label = archive["prediction"]
+            connection.close()
+        finally:
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60.0) == 0
+        served = label_to_inhibitor(label, PEBConfig().catalysis_rate)
+        assert served.shape == inhibitor.shape == (2, 16, 16)
+        assert np.array_equal(served, inhibitor)
 
 
 class TestReport:
