@@ -1,25 +1,39 @@
-"""Eikonal solver bench: vectorized fast-iterative vs heap fast-marching.
+"""Eikonal solver bench: active-set fast-iterative vs heap fast-marching.
 
-The development-front solver runs once per clip per method during CD
-evaluation, so its speed shapes the whole evaluation pipeline.  The
-vectorized FIM (the default, after the paper's reference [31]) must
-agree with the ordered FMM solution.
+The development-front solver runs once per clip in the offline flow,
+in CD evaluation and on every iteration of gradient OPC, so its speed
+shapes those pipelines.  Each solver is timed on two media: a seeded
+64×64×8 ``simulate_clip`` clip, the inhibitor the flow develops, and a
+random-normal inhibitor field, whose many fast/slow flips make the
+front take about twice as many sweeps.  The fast iterative solver
+(the default, after the paper's reference [31]) must agree with the
+ordered FMM solution on both.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import DevelopConfig, GridConfig
+from repro.config import GridConfig, LithoConfig
+from repro.data import simulate_clip
 from repro.litho import development_rate, fast_iterative, fast_marching
 
-GRID = GridConfig(nx=64, ny=64, nz=8)
+CONFIG = LithoConfig(grid=GridConfig(nx=64, ny=64, nz=8))
+GRID = CONFIG.grid
 
 
-@pytest.fixture(scope="module")
-def slowness():
+def random_normal_inhibitor():
     rng = np.random.default_rng(3)
-    inhibitor = np.clip(rng.normal(0.85, 0.25, size=GRID.shape), 0.0, 1.0)
-    return 1.0 / development_rate(inhibitor, DevelopConfig())
+    return np.clip(rng.normal(0.85, 0.25, size=GRID.shape), 0.0, 1.0)
+
+
+def simulated_clip_inhibitor():
+    return simulate_clip(101, CONFIG).inhibitor
+
+
+@pytest.fixture(scope="module", params=[simulated_clip_inhibitor, random_normal_inhibitor],
+                ids=["simulated_clip", "random_normal"])
+def slowness(request):
+    return 1.0 / development_rate(request.param(), CONFIG.develop)
 
 
 SPACING = (GRID.dz_nm, GRID.dy_nm, GRID.dx_nm)

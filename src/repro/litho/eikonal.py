@@ -5,8 +5,8 @@ time S solving |∇S| = 1/R (Section II-A of the paper, citing the fast
 iterative method of Jeong & Whitaker [31]).  Two solvers are provided:
 
 * :func:`fast_iterative` — vectorized Jacobi iterations of the Godunov
-  upwind update to a fixed point; the one :mod:`repro.litho.profile`
-  runs.
+  upwind update to a fixed point, each sweep restricted to the voxels
+  next to the moving front; the one :mod:`repro.litho.profile` runs.
 * :func:`fast_marching` — heap-ordered Dijkstra-like solver with the
   same update, one node at a time; the reference the fast one is
   checked against.
@@ -109,84 +109,121 @@ def fast_marching(slowness: np.ndarray, spacing: tuple[float, float, float]) -> 
     return times
 
 
-def _godunov_vectorized(axis_minima: np.ndarray, spacings: np.ndarray,
-                        slowness: np.ndarray) -> np.ndarray:
-    """Vectorized Godunov update over the whole grid.
+def _stable_axis_orders() -> np.ndarray:
+    """Row ``code``: the axes (0 z, 1 y, 2 x) in sorted order of their times.
 
-    ``axis_minima`` is (3, ...) — per axis, the smaller of the two
-    neighbour arrival times; ``spacings`` is (3,).  Implements the same
-    progressive quadratic as :func:`godunov_update` with numpy
-    broadcasting.
+    ``code`` packs a voxel's three comparisons z > y, z > x and y > x as
+    bits 0-2.  A tie keeps the z, y, x order, as a stable argsort does;
+    codes 2 and 5 are cyclic, so they never occur.
     """
-    h = np.broadcast_to(spacings.reshape(3, *([1] * (axis_minima.ndim - 1))), axis_minima.shape)
-    order = np.argsort(axis_minima, axis=0)
-    a = np.take_along_axis(axis_minima, order, axis=0)
-    h = np.take_along_axis(h, order, axis=0)
+    orders = np.zeros((8, 3), dtype=np.intp)
+    for code in range(8):
+        z_y, z_x, y_x = code & 1, code >> 1 & 1, code >> 2 & 1
+        orders[code] = np.argsort([z_y + z_x, 1 - z_y + y_x, 2 - z_x - y_x], kind="stable")
+    return orders
+
+
+_AXIS_ORDERS = _stable_axis_orders()
+
+
+def _godunov_front(axis_minima: list[np.ndarray], spacings: np.ndarray,
+                   slowness: np.ndarray) -> np.ndarray:
+    """:func:`godunov_update` of a set of voxels at once.
+
+    ``axis_minima`` holds per axis (z, y, x) the smaller of each voxel's
+    two neighbour times, ``slowness`` the voxels' own.  Three comparisons
+    give each voxel the stable order of its axes and min/max the sorted
+    times; the quadratic then grows one axis at a time in that order, and
+    an axis that does not improve the root is subtracted back out.  Each
+    voxel with a finite neighbour goes through one fixed sequence of
+    float operations, so its result does not depend on which other
+    voxels are updated with it; one without stays at INFINITY.
+    """
+    a_z, a_y, a_x = axis_minima
+    code = ((a_z > a_y).view(np.int8) + 2 * (a_z > a_x).view(np.int8)
+            + 4 * (a_y > a_x).view(np.int8)).astype(np.intp)
+    low, high = np.minimum(a_z, a_y), np.maximum(a_z, a_y)
+    a = (np.minimum(low, a_x), np.maximum(low, np.minimum(high, a_x)), np.maximum(high, a_x))
+    inv_spacing2 = 1.0 / spacings ** 2
+    inv_h2 = [inv_spacing2[_AXIS_ORDERS[:, m]][code] for m in range(3)]
     with np.errstate(invalid="ignore"):
-        solution = a[0] + slowness * h[0]
-        inv_h2 = np.zeros_like(a)
-        np.divide(1.0, h ** 2, out=inv_h2, where=np.isfinite(a))
-        alpha = inv_h2[0].copy()
-        beta = np.where(np.isfinite(a[0]), -2.0 * a[0] * inv_h2[0], 0.0)
-        gamma = np.where(np.isfinite(a[0]), a[0] ** 2 * inv_h2[0], 0.0) - slowness ** 2
+        solution = a[0] + slowness * spacings[_AXIS_ORDERS[:, 0]][code]
+        alpha = inv_h2[0]
+        beta = -2.0 * a[0] * inv_h2[0]
+        gamma = a[0] ** 2 * inv_h2[0] - slowness ** 2
         for m in (1, 2):
             use = np.isfinite(a[m]) & (solution > a[m])
-            alpha = alpha + np.where(use, inv_h2[m], 0.0)
-            beta = beta + np.where(use, -2.0 * a[m] * inv_h2[m], 0.0)
-            gamma = gamma + np.where(use, a[m] ** 2 * inv_h2[m], 0.0)
+            d_alpha = np.where(use, inv_h2[m], 0.0)
+            d_beta = np.where(use, -2.0 * a[m] * inv_h2[m], 0.0)
+            d_gamma = np.where(use, a[m] ** 2 * inv_h2[m], 0.0)
+            alpha, beta, gamma = alpha + d_alpha, beta + d_beta, gamma + d_gamma
             disc = beta ** 2 - 4.0 * alpha * gamma
-            valid = use & (disc >= 0.0)
-            candidate = np.where(valid, (-beta + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * alpha), np.inf)
-            improved = valid & (candidate >= a[m])
+            candidate = (-beta + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * alpha)
+            improved = use & (disc >= 0.0) & (candidate >= a[m])
             solution = np.where(improved, candidate, solution)
-            # roll back coefficients where the extra axis was rejected
-            rollback = use & ~improved
-            alpha = alpha - np.where(rollback, inv_h2[m], 0.0)
-            beta = beta - np.where(rollback, -2.0 * a[m] * inv_h2[m], 0.0)
-            gamma = gamma - np.where(rollback, a[m] ** 2 * inv_h2[m], 0.0)
+            if m == 1:
+                # the last axis builds on these: take back a rejected one
+                rollback = use & ~improved
+                alpha = alpha - np.where(rollback, d_alpha, 0.0)
+                beta = beta - np.where(rollback, d_beta, 0.0)
+                gamma = gamma - np.where(rollback, d_gamma, 0.0)
     return solution
-
-
-def _axis_minima_grid(times: np.ndarray) -> np.ndarray:
-    """Per-axis smaller neighbour value, INFINITY at the border."""
-    minima = np.empty((3,) + times.shape, dtype=np.float64)
-    for axis in range(3):
-        forward = np.full_like(times, INFINITY)
-        backward = np.full_like(times, INFINITY)
-        front = [slice(None)] * 3
-        back = [slice(None)] * 3
-        front[axis] = slice(1, None)
-        back[axis] = slice(None, -1)
-        forward[tuple(back)] = times[tuple(front)]
-        backward[tuple(front)] = times[tuple(back)]
-        minima[axis] = np.minimum(forward, backward)
-    return minima
 
 
 def fast_iterative(slowness: np.ndarray, spacing: tuple[float, float, float],
                    tolerance: float = 1e-9, max_iterations: int | None = None) -> np.ndarray:
-    """Vectorized Jacobi fast-iterative Eikonal solve (Jeong & Whitaker style).
+    """Jacobi fast-iterative Eikonal solve (Jeong & Whitaker style) on the front.
 
-    Updates every node simultaneously from its neighbours' current
-    values and iterates to a fixed point.  Converges in roughly the
-    number of grid cells the front traverses along its longest causal
-    path; each iteration is a handful of whole-array numpy operations,
-    so this is the fast default for large grids.
+    Each sweep computes the Godunov update of every voxel from the
+    previous sweep's arrival times, then writes them all, until the
+    largest decrease falls below ``tolerance`` and every voxel has been
+    reached.  A voxel none of whose six neighbours changed in the last
+    sweep would only recompute the time it holds, so a sweep updates
+    just the active set: the neighbours of the voxels whose time fell
+    (the first sweep: the top two layers, the only voxels with a finite
+    neighbour).  The sweeps, the stopping sweep and the result are those
+    of the whole-grid iteration, bitwise; the work follows the moving
+    front.  Converges in roughly the number of cells the front traverses
+    along its longest causal path.
     """
     if np.any(slowness <= 0):
         raise ValueError("slowness must be strictly positive")
-    times = initial_arrival(slowness, spacing)
-    spacings = np.asarray(spacing, dtype=np.float64)
     if max_iterations is None:
         max_iterations = 4 * sum(slowness.shape)
+    nz, ny, nx = slowness.shape
+    spacings = np.asarray(spacing, dtype=np.float64)
+    # flat views of the grid padded by one voxel of INFINITY on every side,
+    # so each voxel's six neighbours sit at fixed offsets
+    initial = initial_arrival(slowness, spacing)
+    times = np.pad(initial, 1, constant_values=INFINITY).ravel()
+    padded_slowness = np.pad(slowness, 1).ravel()  # the border is never active
+    interior = np.pad(np.ones(slowness.shape, dtype=bool), 1).ravel()
+    strides = ((ny + 2) * (nx + 2), nx + 2, 1)
+    unreached = int(np.count_nonzero(np.isinf(initial)))
+    marked = np.zeros((nz + 2, ny + 2, nx + 2), dtype=bool)
+    marked[1:min(nz, 2) + 1, 1:-1, 1:-1] = True
+    active = np.flatnonzero(marked)
+    marked = marked.ravel()
     for _ in range(max_iterations):
-        updated = _godunov_vectorized(_axis_minima_grid(times), spacings, slowness)
-        new_times = np.minimum(times, updated)
+        old = times[active]
+        axis_minima = [np.minimum(times[active + stride], times[active - stride])
+                       for stride in strides]
+        new = np.minimum(old, _godunov_front(axis_minima, spacings, padded_slowness[active]))
         with np.errstate(invalid="ignore"):
-            change = times - new_times
-        finite_change = change[np.isfinite(change)]
-        times = new_times
-        if finite_change.size == 0 or finite_change.max() < tolerance:
-            if not np.any(np.isinf(new_times)):
-                break
-    return times
+            change = old - new
+        # the largest finite decrease; a voxel outside the active set changed by 0
+        largest = np.max(change, where=np.isfinite(change), initial=0.0)
+        unreached -= int(np.count_nonzero(np.isinf(old) & ~np.isinf(new)))
+        fell = new < old
+        changed = active[fell]
+        times[changed] = new[fell]
+        if largest < tolerance and unreached == 0:
+            break
+        if changed.size == 0:
+            break  # every later sweep would change nothing either
+        marked[:] = False
+        for stride in strides:
+            marked[changed + stride] = True
+            marked[changed - stride] = True
+        active = np.flatnonzero(marked & interior)
+    return times.reshape(nz + 2, ny + 2, nx + 2)[1:-1, 1:-1, 1:-1].copy()

@@ -12,25 +12,21 @@ import numpy as np
 
 from repro.config import DevelopConfig, GridConfig
 from .develop import development_rate
-from .eikonal import fast_iterative, fast_marching
+from .eikonal import fast_iterative
 from .mask import Contact
 
 
 def development_arrival(inhibitor: np.ndarray, grid: GridConfig,
-                        develop: DevelopConfig, solver: str = "fim") -> np.ndarray:
+                        develop: DevelopConfig) -> np.ndarray:
     """Arrival time (s) of the development front at every voxel.
 
-    ``solver`` selects the Eikonal backend: ``"fim"`` (vectorized fast
-    iterative, default) or ``"fmm"`` (heap-ordered fast marching).
+    Solved by :func:`repro.litho.eikonal.fast_iterative` from the Mack
+    rate of ``inhibitor``.
     """
     rate = development_rate(inhibitor, develop)
     slowness = 1.0 / rate
     spacing = (grid.dz_nm, grid.dy_nm, grid.dx_nm)
-    if solver == "fim":
-        return fast_iterative(slowness, spacing)
-    if solver == "fmm":
-        return fast_marching(slowness, spacing)
-    raise ValueError(f"unknown Eikonal solver {solver!r}")
+    return fast_iterative(slowness, spacing)
 
 
 def resist_mask(arrival: np.ndarray, develop: DevelopConfig) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -108,9 +109,24 @@ class ModelManifest:
             raise RegistryError(f"{source}: field 'grid' must be an object with "
                                 f"exactly the keys {sorted(grid_fields)}, got {grid!r}")
         schema = payload.get("schema_version", MANIFEST_SCHEMA_VERSION)
+        for key, value in (("schema_version", schema), ("version", payload["version"])):
+            if not _is_int(value):
+                raise RegistryError(f"{source}: field {key!r} must be an int, got {value!r}")
         if schema > MANIFEST_SCHEMA_VERSION:
             raise RegistryError(f"{source}: manifest schema v{schema} is newer than "
                                 f"supported v{MANIFEST_SCHEMA_VERSION}")
+        for grid_field in fields(GridConfig):
+            value, integral = grid[grid_field.name], grid_field.type in ("int", int)
+            if not (_is_int(value) if integral else _is_finite(value)) or value <= 0:
+                raise RegistryError(f"{source}: field {grid_field.name!r} of 'grid' must be a "
+                                    f"positive {'int' if integral else 'number'}, got {value!r}")
+        for key in ("output_mean", "output_std"):
+            if not _is_finite(payload[key]):
+                raise RegistryError(f"{source}: field {key!r} must be a finite number, "
+                                    f"got {payload[key]!r}")
+        if payload["output_std"] <= 0:
+            raise RegistryError(f"{source}: field 'output_std' must be positive, "
+                                f"got {payload['output_std']!r}")
         known = {f.name for f in _MANIFEST_FIELDS}
         return cls(**{k: v for k, v in payload.items() if k in known})
 
@@ -125,6 +141,14 @@ class ModelManifest:
 
 
 _MANIFEST_FIELDS = fields(ModelManifest)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _build_model(manifest: ModelManifest, weights: Path):

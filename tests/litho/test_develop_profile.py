@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import DevelopConfig, ExposureConfig, GridConfig
-from repro.litho import develop, exposure, profile
+from repro.litho import develop, eikonal, exposure, profile
 from repro.litho.mask import Contact
 
 DEV = DevelopConfig()
@@ -113,15 +113,14 @@ class TestProfileAndCD:
         assert cds["x"].shape == (2,) and cds["y"].shape == (2,)
         assert np.all(cds["x"] > 0.0)
 
-    def test_solver_selection(self):
+    def test_arrival_agrees_with_fast_marching(self):
         contact = Contact(400.0, 400.0, 120.0, 120.0)
         inhibitor = synthetic_inhibitor(self.GRID, contact)
-        fim = profile.development_arrival(inhibitor, self.GRID, DEV, solver="fim")
-        fmm = profile.development_arrival(inhibitor, self.GRID, DEV, solver="fmm")
+        arrival = profile.development_arrival(inhibitor, self.GRID, DEV)
+        spacing = (self.GRID.dz_nm, self.GRID.dy_nm, self.GRID.dx_nm)
+        fmm = eikonal.fast_marching(1.0 / develop.development_rate(inhibitor, DEV), spacing)
         finite = np.isfinite(fmm)
-        assert np.allclose(fim[finite], fmm[finite], rtol=1e-6)
-        with pytest.raises(ValueError):
-            profile.development_arrival(inhibitor, self.GRID, DEV, solver="laser")
+        assert np.allclose(arrival[finite], fmm[finite], rtol=1e-6)
 
 
 class TestCDErrorMetric:

@@ -176,6 +176,13 @@ MALFORMED = {
     "grid-not-an-object": (lambda m: m.update(grid=[16, 16, 2]), "grid"),
     "weights-of-another-class": (lambda m: m.update(model_class="TEMPO-resist"),
                                  "model_class"),
+    "output-std-zero": (lambda m: m.update(output_std=0.0), "output_std"),
+    "output-mean-infinite": (lambda m: m.update(output_mean=float("inf")), "output_mean"),
+    "schema-version-string": (lambda m: m.update(schema_version="1"), "schema_version"),
+    "version-string": (lambda m: m.update(version="1"), "version"),
+    "grid-value-string": (lambda m: m["grid"].update(nx="16"), "nx"),
+    "grid-value-bool": (lambda m: m["grid"].update(nz=True), "nz"),
+    "grid-value-negative": (lambda m: m["grid"].update(size_um=-0.8), "size_um"),
 }
 
 
