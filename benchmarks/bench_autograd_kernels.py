@@ -1,8 +1,9 @@
 """Micro-benchmarks of the autograd engine's hot kernels.
 
-Conv3d (the dominant cost in every model), the transposed conv
-(decoder), the SDM unit, and one full SDM-PEB training step — useful
-for tracking performance regressions in the from-scratch substrate.
+Conv3d (the dominant cost in every model) and the transposed conv
+(decoder), each forward and backward, the SDM unit, and one full
+SDM-PEB training step — useful for tracking performance regressions in
+the from-scratch substrate.
 """
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_bench_conv_transpose3d(benchmark):
             return conv_transpose3d(x, w, stride=(1, 2, 2), padding=(1, 0, 0))
 
     benchmark(forward)
+
+
+def test_bench_conv_transpose3d_backward(benchmark):
+    x = Tensor(RNG.standard_normal((1, 16, 8, 16, 16)), requires_grad=True)
+    w = Tensor(RNG.standard_normal((16, 8, 3, 2, 2)), requires_grad=True)
+
+    def step():
+        x.zero_grad()
+        w.zero_grad()
+        conv_transpose3d(x, w, stride=(1, 2, 2), padding=(1, 0, 0)).sum().backward()
+
+    benchmark(step)
 
 
 def test_bench_sdm_unit(benchmark):

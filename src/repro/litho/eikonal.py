@@ -81,7 +81,7 @@ def initial_arrival(slowness: np.ndarray, spacing: tuple[float, float, float]) -
 
 def fast_marching(slowness: np.ndarray, spacing: tuple[float, float, float]) -> np.ndarray:
     """Heap-ordered Eikonal solve; returns arrival times (same shape)."""
-    if np.any(slowness <= 0):
+    if not np.all(slowness > 0):   # NaN fails the comparison too
         raise ValueError("slowness must be strictly positive")
     times = initial_arrival(slowness, spacing)
     nz, ny, nx = slowness.shape
@@ -186,7 +186,7 @@ def fast_iterative(slowness: np.ndarray, spacing: tuple[float, float, float],
     front.  Converges in roughly the number of cells the front traverses
     along its longest causal path.
     """
-    if np.any(slowness <= 0):
+    if not np.all(slowness > 0):   # NaN fails the comparison too
         raise ValueError("slowness must be strictly positive")
     if max_iterations is None:
         max_iterations = 4 * sum(slowness.shape)

@@ -5,12 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import tensor as T
+from repro.tensor.ops_nn import _triple
 from . import init
 from .module import Module, Parameter
-
-
-def _triple(value):
-    return tuple(value) if isinstance(value, (tuple, list)) else (value,) * 3
 
 
 class Conv3d(Module):

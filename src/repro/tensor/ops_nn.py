@@ -11,8 +11,11 @@ convolution with fewer output than input channels per group (a
 one-channel head) instead multiplies every kernel offset's weights with
 the input at once and shift-adds the products.
 :func:`conv_transpose3d_kernel` is that second form with the shifts
-reversed.  The backward kernels loop over kernel offsets: ``kd*kh*kw``
-strided einsums, scattered for the input gradient.
+reversed.  The backward passes run on the same kernels: a convolution's
+input gradient is the transposed convolution of the output gradient
+with the same weight, a transposed convolution's is the convolution,
+and either weight gradient multiplies one operand's rows by the other's
+im2col columns, tile by tile (:func:`_weight_grad`).
 
 Shape conventions follow torch:
 
@@ -23,6 +26,7 @@ Shape conventions follow torch:
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -45,26 +49,6 @@ def _triple(value) -> tuple[int, int, int]:
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
-
-
-def _grouped(x: np.ndarray, groups: int) -> np.ndarray:
-    """View (B, C, *spatial) as (B, G, C/G, *spatial)."""
-    b, c = x.shape[:2]
-    return x.reshape(b, groups, c // groups, *x.shape[2:])
-
-
-def _pad_spatial(x: np.ndarray, padding) -> np.ndarray:
-    pd, ph, pw = padding
-    if pd == ph == pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-
-
-def _offset_slices(offset, stride, out_sizes):
-    """Slices selecting the input positions hit by a kernel offset."""
-    return tuple(
-        slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out_sizes)
-    )
 
 
 def _tiles(batch: int, depth: int, rows: int, row_bytes: int) -> list[tuple]:
@@ -91,17 +75,18 @@ def _require_contiguous(*arrays) -> None:
         raise ValueError("convolution kernels need C-contiguous operands")
 
 
-def _im2col_gemm(out, x, w, stride, padding, groups, scratch):
-    """Bind ``out = conv3d(x, w)``: per tile, copy the input rows the tile
-    reads into a zero-padded box, gather the box's windows into columns
-    and multiply once, straight into the output."""
+def _im2col(x, kernel, out_sizes, stride, padding, groups, scratch) -> list[tuple]:
+    """Bind the column gather of a convolution of ``x`` by a ``kernel``-sized
+    weight into an output of spatial size ``out_sizes``, per :func:`_tiles`
+    tile: ``(samples, voxels, col, gather)``, the tile's samples and slice
+    of the flattened output voxels, its columns ``(nb, G, Cin/G*kd*kh*kw,
+    voxels)``, and a callable that copies the input rows the tile reads
+    into a zero-padded box and the box's windows into the columns."""
     batch, cin, depth, height, width = x.shape
-    cout, cg, kd, kh, kw = w.shape
-    do, ho, wo = out.shape[2:]
+    kd, kh, kw = kernel
+    do, ho, wo = out_sizes
     (sd, sh, sw), (pd, ph, pw) = stride, padding
-    k, wp = cg * kd * kh * kw, width + 2 * pw
-    wg = w.reshape(groups, cout // groups, k)
-    out_rows = out.reshape(batch, groups, cout // groups, do * ho * wo)
+    k, wp = cin // groups * kd * kh * kw, width + 2 * pw
     tiles = _tiles(batch, do, ho, groups * k * wo * x.itemsize)
     b0, b1, d0, d1, h0, h1 = tiles[0]
     cols = scratch(((b1 - b0) * (d1 - d0) * (h1 - h0) * cin * kd * kh * kw * wo,), x.dtype)
@@ -119,18 +104,51 @@ def _im2col_gemm(out, x, w, stride, padding, groups, scratch):
         windows = sliding_window_view(box, (kd, kh, kw), axis=(2, 3, 4))
         windows = windows[:, :, ::sd, ::sh, ::sw].transpose(0, 1, 5, 6, 7, 2, 3, 4)
         col = cols[:windows.size]
-        target = out_rows[b0:b1, :, :, (d0 * ho + h0) * wo:((d1 - 1) * ho + h1) * wo]
-        steps.append((box, interior, src, col.reshape(windows.shape), windows,
-                      col.reshape(nb, groups, k, td * th * wo), target))
+        steps.append((slice(b0, b1), slice((d0 * ho + h0) * wo, ((d1 - 1) * ho + h1) * wo),
+                      col.reshape(nb, groups, k, td * th * wo),
+                      functools.partial(_gather, box, interior, src,
+                                        col.reshape(windows.shape), windows)))
+    return steps
+
+
+def _gather(box, interior, src, col, windows) -> None:
+    box.fill(0.0)
+    np.copyto(interior, src)
+    np.copyto(col, windows)
+
+
+def _im2col_gemm(out, x, w, stride, padding, groups, scratch):
+    """Bind ``out = conv3d(x, w)``: per tile, gather the columns
+    (:func:`_im2col`) and multiply once, straight into the output."""
+    batch, cout = out.shape[:2]
+    wg = w.reshape(groups, cout // groups, -1)
+    out_rows = out.reshape(batch, groups, cout // groups, -1)
+    steps = [(gather, col, out_rows[samples, :, :, voxels]) for samples, voxels, col, gather
+             in _im2col(x, w.shape[2:], out.shape[2:], stride, padding, groups, scratch)]
 
     def run():
-        for box, interior, src, col8, windows, col, target in steps:
-            box.fill(0.0)
-            np.copyto(interior, src)
-            np.copyto(col8, windows)
+        for gather, col, target in steps:
+            gather()
             np.matmul(wg, col, out=target)
 
     return run
+
+
+def _weight_grad(gout, x, w_shape, stride, padding, groups: int) -> np.ndarray:
+    """Gradient w.r.t. ``w`` of ``sum(gout * conv3d(x, w))``: per
+    :func:`_im2col` tile, ``gout``'s rows times the columns' transpose,
+    summed over the tile's samples.  With ``x`` and ``gout`` swapped it is
+    a transposed convolution's weight gradient."""
+    stride, padding = _triple(stride), _triple(padding)
+    batch, rows = gout.shape[:2]
+    gw = np.zeros((groups, rows // groups, int(np.prod(w_shape[1:]))), dtype=x.dtype)
+    if gout.size and x.size:
+        gout_rows = gout.reshape(batch, groups, rows // groups, -1)
+        for samples, voxels, col, gather in _im2col(x, w_shape[2:], gout.shape[2:], stride,
+                                                     padding, groups, np.empty):
+            gather()
+            gw += np.matmul(gout_rows[samples, :, :, voxels], col.swapaxes(2, 3)).sum(axis=0)
+    return gw.reshape(w_shape)
 
 
 def _hits(q0: int, q1: int, stride: int, shift: int, size: int):
@@ -208,56 +226,21 @@ def conv3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.empty):
     return _im2col_gemm(out, x, w, stride, padding, groups, scratch)
 
 
+def _run(kernel, shape, x, w, *args) -> np.ndarray:
+    """Bind ``kernel`` to a new ``shape`` output and C-contiguous ``x`` and
+    ``w``, and run it once."""
+    out = np.empty(shape, dtype=x.dtype)
+    kernel(out, np.ascontiguousarray(x), np.ascontiguousarray(w), *args)()
+    return out
+
+
 def conv3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, groups: int) -> np.ndarray:
     """Raw-numpy grouped 3D cross-correlation (see :func:`conv3d_kernel`)."""
     stride, padding = _triple(stride), _triple(padding)
     out_sizes = tuple(
         _out_size(x.shape[2 + i], w.shape[2 + i], stride[i], padding[i]) for i in range(3)
     )
-    out = np.empty((x.shape[0], w.shape[0]) + out_sizes, dtype=x.dtype)
-    conv3d_kernel(out, np.ascontiguousarray(x), np.ascontiguousarray(w),
-                  stride, padding, groups)()
-    return out
-
-
-def conv3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, groups: int) -> np.ndarray:
-    """Gradient of :func:`conv3d_forward` w.r.t. its input."""
-    stride, padding = _triple(stride), _triple(padding)
-    cout, cg, kd, kh, kw = w.shape
-    b = x_shape[0]
-    padded_shape = tuple(x_shape[2 + i] + 2 * padding[i] for i in range(3))
-    out_sizes = gout.shape[2:]
-    gg = _grouped(gout, groups)
-    wg = w.reshape(groups, cout // groups, cg, kd, kh, kw)
-    gxp = np.zeros((b, groups, cg) + padded_shape, dtype=gout.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, out_sizes)
-        gxp[(slice(None), slice(None), slice(None)) + sl] += np.einsum(
-            "bgodhw,goc->bgcdhw", gg, wg[:, :, :, offset[0], offset[1], offset[2]]
-        )
-    pd, ph, pw = padding
-    crop = (
-        slice(pd, gxp.shape[3] - pd),
-        slice(ph, gxp.shape[4] - ph),
-        slice(pw, gxp.shape[5] - pw),
-    )
-    return gxp[(slice(None), slice(None), slice(None)) + crop].reshape(x_shape)
-
-
-def conv3d_grad_weight(gout: np.ndarray, x: np.ndarray, w_shape, stride, padding, groups: int) -> np.ndarray:
-    """Gradient of :func:`conv3d_forward` w.r.t. the weight."""
-    stride, padding = _triple(stride), _triple(padding)
-    cout, cg, kd, kh, kw = w_shape
-    xp = _pad_spatial(x, padding)
-    xg = _grouped(xp, groups)
-    gg = _grouped(gout, groups)
-    out_sizes = gout.shape[2:]
-    gw = np.zeros((groups, cout // groups, cg, kd, kh, kw), dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, out_sizes)
-        patch = xg[(slice(None), slice(None), slice(None)) + sl]
-        gw[:, :, :, offset[0], offset[1], offset[2]] = np.einsum("bgodhw,bgcdhw->goc", gg, patch)
-    return gw.reshape(w_shape)
+    return _run(conv3d_kernel, (x.shape[0], w.shape[0]) + out_sizes, x, w, stride, padding, groups)
 
 
 def conv_transpose3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.empty):
@@ -277,62 +260,15 @@ def conv_transpose3d_kernel(out, x, w, stride, padding, groups: int, scratch=np.
 def conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride, padding, output_padding, groups: int) -> np.ndarray:
     """Raw-numpy grouped transposed 3D convolution (see :func:`conv_transpose3d_kernel`)."""
     stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
+    if any(op >= s for op, s in zip(output_padding, stride)):
+        # as in torch; the input gradient's convolution relies on it
+        raise ValueError(f"output padding {output_padding} must be below the stride {stride}")
     out_sizes = tuple(
         (x.shape[2 + i] - 1) * stride[i] + w.shape[2 + i] + output_padding[i] - 2 * padding[i]
         for i in range(3)
     )
-    out = np.empty((x.shape[0], groups * w.shape[1]) + out_sizes, dtype=x.dtype)
-    conv_transpose3d_kernel(out, np.ascontiguousarray(x), np.ascontiguousarray(w),
-                            stride, padding, groups)()
-    return out
-
-
-def conv_transpose3d_grad_input(gout: np.ndarray, w: np.ndarray, x_shape, stride, padding, output_padding, groups: int) -> np.ndarray:
-    """Gradient of :func:`conv_transpose3d_forward` w.r.t. its input."""
-    stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
-    cin, og, kd, kh, kw = w.shape
-    in_sizes = x_shape[2:]
-    full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i] for i in range(3)
-    )
-    pd, ph, pw = padding
-    gfull = np.zeros((x_shape[0], groups * og) + full_sizes, dtype=gout.dtype)
-    gfull[:, :, pd:full_sizes[0] - pd, ph:full_sizes[1] - ph, pw:full_sizes[2] - pw] = gout
-    gg = _grouped(gfull, groups)
-    wg = w.reshape(groups, cin // groups, og, kd, kh, kw)
-    gx = np.zeros((x_shape[0], groups, cin // groups) + tuple(in_sizes), dtype=gout.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, in_sizes)
-        gx += np.einsum(
-            "bgodhw,gco->bgcdhw",
-            gg[(slice(None), slice(None), slice(None)) + sl],
-            wg[:, :, :, offset[0], offset[1], offset[2]],
-        )
-    return gx.reshape(x_shape)
-
-
-def conv_transpose3d_grad_weight(gout: np.ndarray, x: np.ndarray, w_shape, stride, padding, output_padding, groups: int) -> np.ndarray:
-    """Gradient of :func:`conv_transpose3d_forward` w.r.t. the weight."""
-    stride, padding, output_padding = _triple(stride), _triple(padding), _triple(output_padding)
-    cin, og, kd, kh, kw = w_shape
-    in_sizes = x.shape[2:]
-    full_sizes = tuple(
-        (in_sizes[i] - 1) * stride[i] + (kd, kh, kw)[i] + output_padding[i] for i in range(3)
-    )
-    pd, ph, pw = padding
-    gfull = np.zeros((x.shape[0], gout.shape[1]) + full_sizes, dtype=gout.dtype)
-    gfull[:, :, pd:full_sizes[0] - pd, ph:full_sizes[1] - ph, pw:full_sizes[2] - pw] = gout
-    gg = _grouped(gfull, groups)
-    xg = _grouped(x, groups)
-    gw = np.zeros((groups, cin // groups, og, kd, kh, kw), dtype=x.dtype)
-    for offset in itertools.product(range(kd), range(kh), range(kw)):
-        sl = _offset_slices(offset, stride, in_sizes)
-        gw[:, :, :, offset[0], offset[1], offset[2]] = np.einsum(
-            "bgodhw,bgcdhw->gco",
-            gg[(slice(None), slice(None), slice(None)) + sl],
-            xg,
-        )
-    return gw.reshape(w_shape)
+    return _run(conv_transpose3d_kernel, (x.shape[0], groups * w.shape[1]) + out_sizes, x, w,
+                stride, padding, groups)
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +279,8 @@ def conv3d(x, w, bias=None, stride=1, padding=0, groups: int = 1) -> Tensor:
     x, w = ensure_tensor(x), ensure_tensor(w)
     out_data = conv3d_forward(x.data, w.data, stride, padding, groups)
     parents = [
-        (x, lambda g: conv3d_grad_input(g, w.data, x.shape, stride, padding, groups)),
-        (w, lambda g: conv3d_grad_weight(g, x.data, w.shape, stride, padding, groups)),
+        (x, lambda g: _run(conv_transpose3d_kernel, x.shape, g, w.data, stride, padding, groups)),
+        (w, lambda g: _weight_grad(g, x.data, w.shape, stride, padding, groups)),
     ]
     out = Tensor.from_op(out_data, parents)
     if bias is not None:
@@ -361,8 +297,8 @@ def conv_transpose3d(x, w, bias=None, stride=1, padding=0, output_padding=0, gro
     x, w = ensure_tensor(x), ensure_tensor(w)
     out_data = conv_transpose3d_forward(x.data, w.data, stride, padding, output_padding, groups)
     parents = [
-        (x, lambda g: conv_transpose3d_grad_input(g, w.data, x.shape, stride, padding, output_padding, groups)),
-        (w, lambda g: conv_transpose3d_grad_weight(g, x.data, w.shape, stride, padding, output_padding, groups)),
+        (x, lambda g: _run(conv3d_kernel, x.shape, g, w.data, stride, padding, groups)),
+        (w, lambda g: _weight_grad(x.data, g, w.shape, stride, padding, groups)),
     ]
     out = Tensor.from_op(out_data, parents)
     if bias is not None:

@@ -87,6 +87,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             solver(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0))
 
+    def test_nan_inhibitor_raises(self):
+        """``development_rate`` clips to [0, 1], which keeps a NaN, so one NaN
+        inhibitor voxel reaches the solver as a NaN slowness."""
+        config = LithoConfig(grid=GridConfig(size_um=0.8, nx=16, ny=16, nz=4))
+        inhibitor = simulate_clip(101, config).inhibitor.copy()
+        inhibitor[2, 8, 8] = np.nan
+        with pytest.raises(ValueError, match="strictly positive"):
+            development_arrival(inhibitor, config.grid, config.develop)
+
     def test_monotone_in_depth_for_uniform_lateral(self):
         rng = np.random.default_rng(3)
         column = np.exp(rng.uniform(0.0, 1.0, size=4))

@@ -1,6 +1,7 @@
 """Layer behaviour: shapes, values, and gradient flow end-to-end."""
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.tensor import Tensor
@@ -60,6 +61,11 @@ class TestConvModules:
     def test_conv1d_shape(self):
         layer = nn.Conv1d(3, 6, 3, padding=1)
         assert layer(Tensor(rand(2, 3, 10))).shape == (2, 6, 10)
+
+    @pytest.mark.parametrize("module", [nn.Conv3d, nn.ConvTranspose3d])
+    def test_kernel_size_of_two_values_refused_at_construction(self, module):
+        with pytest.raises(ValueError, match="expected 3 values"):
+            module(2, 2, kernel_size=(3, 3))
 
     def test_grad_reaches_weights(self):
         layer = nn.Conv3d(1, 2, 3, padding=1)

@@ -99,6 +99,12 @@ class TestConvTranspose3d:
         out = ops_nn.conv_transpose3d_forward(x, w, 2, 0, 1, 1)
         assert out.shape == (1, 4, 7, 7, 7)
 
+    def test_output_padding_must_be_below_the_stride(self):
+        """As in torch; then the input gradient, a convolution of the output
+        gradient, has the input's shape."""
+        with pytest.raises(ValueError, match="output padding"):
+            ops_nn.conv_transpose3d_forward(rand(1, 2, 3, 3, 3), rand(2, 4, 2, 2, 2), 2, 0, 2, 1)
+
     def test_gradcheck(self):
         gradcheck(
             lambda ts: T.conv_transpose3d(ts[0], ts[1], stride=2, padding=1).sum(),
